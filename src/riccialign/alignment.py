@@ -54,17 +54,21 @@ def common_max_degree(g1: Graph, g2: Graph) -> int:
 def _signature_rows(g: Graph, m: int, features) -> np.ndarray:
     if m < g.max_degree():
         raise GraphError(f"width {m} is below the maximum degree {g.max_degree()}")
-    rows = np.zeros((g.num_nodes, m), dtype=np.int64)
-    for v in g.nodes:
-        vals = sorted(features[w] for w in g.neighbors(v))
-        rows[v, :len(vals)] = vals
+    deg = g.degrees
+    owner = np.repeat(np.arange(g.num_nodes), deg)
+    vals = np.asarray(features, dtype=np.int64)[g.indices]
+    # pad with the largest value so that sorting a row leaves the node's own
+    # values in its first deg(v) slots; the padding is zeroed afterwards
+    rows = np.full((g.num_nodes, m), vals.max(initial=0), dtype=np.int64)
+    rows[owner, np.arange(len(owner)) - g.indptr[owner]] = vals
+    rows.sort(axis=1)
+    rows[np.arange(m) >= deg[:, None]] = 0
     return rows
 
 
 def degree_matrix(g: Graph, m: int) -> SignatureMatrix:
     """Rows of sorted neighbor degrees, zero-padded to width m."""
-    degrees = [g.degree(v) for v in g.nodes]
-    return SignatureMatrix(rows=_signature_rows(g, m, degrees),
+    return SignatureMatrix(rows=_signature_rows(g, m, g.degrees),
                            node_order=tuple(g.nodes), mode="degree")
 
 
@@ -84,16 +88,31 @@ def ricci_matrix(g: Graph, m: int) -> SignatureMatrix:
 def cost_matrix(m1: SignatureMatrix, m2: SignatureMatrix) -> np.ndarray:
     """Pairwise Euclidean distances between rows of two signature matrices.
 
-    Squared distances are accumulated in integer arithmetic, so an entry is
-    exactly 0.0 iff the two rows are identical.
+    Squared distances are exact integers, so an entry is exactly 0.0 iff the
+    two rows are identical. With S the largest row sum of squares, every
+    partial sum of a Gram entry is at most S, and each squared distance is
+    (|a|^2 + |b|^2) - 2 a.b with both terms at most 2S. When 2S < 2^53 all
+    of that is exact in float64, so the Gram product runs in BLAS. Otherwise
+    it runs in int64, which holds every value up to |a - b|^2 <= 4S while
+    4S < 2^63; beyond that the matrix is rejected rather than wrapped.
     """
     if m1.width != m2.width:
         raise GraphError(f"signature widths differ: {m1.width} vs {m2.width}")
     if m1.mode != m2.mode:
         raise GraphError(f"signature modes differ: {m1.mode} vs {m2.mode}")
-    a, b = m1.rows, m2.rows
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2 * (a @ b.T)
-    return np.sqrt(np.maximum(sq, 0).astype(np.float64))
+    a, b = m1.rows.astype(np.float64), m2.rows.astype(np.float64)
+    sa, sb = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    largest = max(sa.max(initial=0.0), sb.max(initial=0.0))
+    if 2 * largest >= 2.0 ** 53:
+        a, b = m1.rows, m2.rows
+        exact = (a.astype(object) ** 2).sum(axis=1).tolist() + \
+            (b.astype(object) ** 2).sum(axis=1).tolist()
+        if 4 * max(exact) >= 2 ** 63:
+            raise GraphError("signature rows are too large for an exact int64 cost matrix")
+        sa, sb = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    sq = np.add.outer(sa, sb)
+    sq -= 2 * (a @ b.T)
+    return np.sqrt(sq)
 
 
 def hungarian(cost) -> Assignment:

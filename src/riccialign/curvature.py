@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .graph import Graph, GraphError, canonical_pair
 
 
@@ -63,12 +65,10 @@ def node_curvature(g: Graph, v: int):
 def node_curvatures(g: Graph) -> list:
     """Curvatures of all nodes, indexed by node id."""
     if g.is_unweighted:
-        deg = [g.degree(v) for v in g.nodes]
-        out = [d * (2 - d) for d in deg]
-        for u, v in g.edges:
-            out[u] -= deg[v]
-            out[v] -= deg[u]
-        return out
+        # d * (2 - d) - A @ d, with A @ d as integer sums over the CSR rows
+        deg = g.degrees
+        sums = np.concatenate(([0], np.cumsum(deg[g.indices])))
+        return (deg * (2 - deg) - (sums[g.indptr[1:]] - sums[g.indptr[:-1]])).tolist()
     edge_c = {e: edge_curvature_weighted(g, e) for e in g.edges}
     out = [0.0] * g.num_nodes
     for (u, v), c in edge_c.items():

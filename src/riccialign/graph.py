@@ -1,15 +1,21 @@
 """Undirected graphs with dense integer node ids, plus file ingestion.
 
 Graphs are immutable after construction: node ids are always the dense range
-0..N-1, edges are stored as canonical (min, max) pairs, and optional positive
-node/edge weights default to 1. Immutability makes concurrent reads safe and
-keeps every downstream matrix row order reproducible.
+0..N-1, and optional positive node/edge weights default to 1. The structure
+is stored as read-only numpy arrays in compressed sparse row (CSR) form:
+node v's neighbors are ``indices[indptr[v]:indptr[v + 1]]`` in ascending
+order, and ``edge_array`` holds every edge once as a canonical (min, max)
+row, sorted lexicographically. The arrays are built with numpy sorts rather
+than per-edge Python objects, so every layer can work on them vectorised,
+and a fixed edge order keeps every downstream matrix row order reproducible.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -31,48 +37,99 @@ def canonical_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _edge_rows(edges) -> np.ndarray:
+    """Edges as an (E, 2) integer array; malformed pairs raise GraphError.
+
+    Every edge must be a pair of integer ids: numpy integers and Python ints
+    are accepted, bools, floats, strings and other arities are not.
+    """
+    pairs = None
+    if isinstance(edges, np.ndarray):
+        arr = edges
+    else:
+        pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
+        if not pairs:
+            return np.empty((0, 2), dtype=np.int64)
+        try:
+            arr = np.array(pairs)
+        except (ValueError, TypeError) as exc:
+            raise GraphError(f"edges must be pairs of node ids: {exc}") from exc
+    if arr.size == 0 and arr.ndim < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise GraphError(f"edges must be pairs of node ids, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise GraphError(f"edge endpoints must be integers, got dtype {arr.dtype}")
+    # numpy turns a bool next to an int into 0 or 1, so look for them here
+    if pairs is not None and any(isinstance(x, (bool, np.bool_))
+                                 for pair in pairs for x in pair):
+        raise GraphError("edge endpoints must be integers, not bools")
+    return arr
+
+
 class Graph:
-    """Immutable undirected graph on nodes 0..N-1.
+    """Immutable undirected graph on nodes 0..N-1, stored as CSR arrays.
 
     Parameters
     ----------
     num_nodes:
         Node count N; nodes are exactly 0..N-1.
     edges:
-        Iterable of id pairs. Pairs are canonicalized and deduplicated;
-        self-loops and out-of-range endpoints raise GraphError.
+        Iterable of id pairs, or an (E, 2) integer array. Pairs are
+        canonicalized and deduplicated; self-loops, out-of-range endpoints
+        and anything that is not a pair of integers raise GraphError.
     node_weights, edge_weights:
         Optional strictly positive weights. Absent means unweighted
         (equivalently: all weights 1).
     original_labels:
         Optional map id -> string recording where a node came from
         (GraphML id, parent-graph id, originating edge, ...).
+
+    Attributes
+    ----------
+    indptr, indices:
+        int64 CSR arrays: the neighbors of v, ascending, are
+        ``indices[indptr[v]:indptr[v + 1]]``.
+    edge_array:
+        int64 (E, 2) array of canonical (min, max) edges in lexicographic
+        order; ``edges`` is the same as a tuple of pairs.
     """
 
-    __slots__ = ("num_nodes", "edges", "node_weights", "edge_weights",
-                 "original_labels", "_adj", "_edge_set")
+    __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "node_weights",
+                 "edge_weights", "original_labels", "_edges")
 
     def __init__(self, num_nodes, edges, node_weights=None, edge_weights=None,
                  original_labels=None):
         if num_nodes < 0:
             raise GraphError(f"negative node count {num_nodes}")
-        self.num_nodes = int(num_nodes)
+        n = self.num_nodes = int(num_nodes)
 
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in edges:
-            pair = canonical_pair(int(u), int(v))
-            if not (0 <= pair[0] and pair[1] < self.num_nodes):
-                raise GraphError(f"edge {pair} has an endpoint outside 0..{self.num_nodes - 1}")
-            if pair in seen:
-                continue
-            seen.add(pair)
-            adj[pair[0]].append(pair[1])
-            adj[pair[1]].append(pair[0])
+        arr = _edge_rows(edges)
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
+        loops = lo == hi
+        if loops.any():
+            raise GraphError(f"self-loop at node {lo[loops.argmax()]}")
+        bad = (lo < 0) | (hi >= n)
+        if bad.any():
+            pair = (int(lo[bad.argmax()]), int(hi[bad.argmax()]))
+            raise GraphError(f"edge {pair} has an endpoint outside 0..{n - 1}")
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
 
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self._edge_set = frozenset(seen)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        # both directions as row-major keys row * N + col; one sort gives the
+        # CSR order, and dropping repeats removes duplicate edges
+        keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows, cols = np.divmod(keys, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        forward = rows < cols
+        self.indptr = indptr
+        self.indices = cols
+        self.edge_array = np.column_stack((rows[forward], cols[forward]))
+        for a in (self.indptr, self.indices, self.edge_array):
+            a.flags.writeable = False
+        self._edges = None
 
         if node_weights is not None:
             node_weights = {int(v): float(w) for v, w in node_weights.items()}
@@ -83,7 +140,7 @@ class Graph:
         if edge_weights is not None:
             edge_weights = {canonical_pair(*e): float(w) for e, w in edge_weights.items()}
             for e, w in edge_weights.items():
-                if e not in self._edge_set:
+                if not self.has_edge(*e):
                     raise GraphError(f"weight given for missing edge {e}")
                 if w <= 0:
                     raise GraphError(f"nonpositive weight {w} on edge {e}")
@@ -99,7 +156,19 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Canonical (min, max) edges in lexicographic order, as Python ints."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self.edge_array.tolist()))
+        return self._edges
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Degree of every node, indexed by node id."""
+        return np.diff(self.indptr)
 
     def _require_node(self, v: int) -> None:
         if not (0 <= v < self.num_nodes):
@@ -108,20 +177,22 @@ class Graph:
     def degree(self, v: int) -> int:
         """Number of incident edges of v."""
         self._require_node(v)
-        return len(self._adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Adjacent node ids in ascending order."""
         self._require_node(v)
-        return self._adj[v]
+        return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
+        if u == v or not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             return False
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        i = lo + np.searchsorted(self.indices[lo:hi], v)
+        return bool(i < hi and self.indices[i] == v)
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return int(self.degrees.max(initial=0))
 
     # -- weights -----------------------------------------------------------
 
@@ -142,7 +213,7 @@ class Graph:
 
     def edge_weight(self, u: int, v: int) -> float:
         pair = canonical_pair(u, v)
-        if pair not in self._edge_set:
+        if not self.has_edge(*pair):
             raise GraphError(f"no edge {pair}")
         if self.edge_weights is None:
             return 1.0
@@ -150,22 +221,25 @@ class Graph:
 
     # -- structure ---------------------------------------------------------
 
+    def _row_slots(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in `indices` of the given rows' entries, row by row."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        offsets = np.cumsum(lengths) - lengths
+        return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+
     def is_connected(self) -> bool:
         """True iff the graph has a single connected component (N >= 1)."""
         if self.num_nodes == 0:
             raise GraphError("connectivity is undefined for the empty graph")
-        seen = bytearray(self.num_nodes)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    stack.append(y)
-        return count == self.num_nodes
+        seen = np.zeros(self.num_nodes, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            reached = self.indices[self._row_slots(frontier)]
+            frontier = np.unique(reached[~seen[reached]])
+            seen[frontier] = True
+        return bool(seen.all())
 
     def induced_subgraph(self, keep) -> "Graph":
         """Subgraph on `keep` with all internal edges, relabeled to 0..k-1.
@@ -177,15 +251,19 @@ class Graph:
         keep = sorted(set(keep))
         for v in keep:
             self._require_node(v)
+        kept = np.array(keep, dtype=np.int64)
+        new_id = np.full(self.num_nodes, -1, dtype=np.int64)
+        new_id[kept] = np.arange(len(kept))
+        # only the kept nodes' rows are read, not every parent edge
+        slots = self._row_slots(kept)
+        src = np.repeat(np.arange(len(kept)), self.indptr[kept + 1] - self.indptr[kept])
+        dst = new_id[self.indices[slots]]
+        inside = src < dst
+        sub_edges = np.column_stack((src[inside], dst[inside]))
+
+        parent = self.original_labels or {}
+        labels = {i: parent[v] if v in parent else str(v) for i, v in enumerate(keep)}
         index = {v: i for i, v in enumerate(keep)}
-        sub_edges = [(index[u], index[v]) for u, v in self.edges
-                     if u in index and v in index]
-        labels = {}
-        for v, i in index.items():
-            if self.original_labels and v in self.original_labels:
-                labels[i] = self.original_labels[v]
-            else:
-                labels[i] = str(v)
         node_w = None
         if self.node_weights is not None:
             node_w = {index[v]: w for v, w in self.node_weights.items() if v in index}
@@ -202,12 +280,12 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.num_nodes == other.num_nodes
-                and self.edges == other.edges
+                and np.array_equal(self.edge_array, other.edge_array)
                 and self.node_weights == other.node_weights
                 and self.edge_weights == other.edge_weights)
 
     def __hash__(self):
-        return hash((self.num_nodes, self.edges))
+        return hash((self.num_nodes, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
@@ -218,8 +296,8 @@ def from_edge_list(pairs, n: int | None = None) -> Graph:
 
     Passing `n` larger than any referenced id adds isolated nodes.
     """
-    pairs = [(int(u), int(v)) for u, v in pairs]
-    max_ref = max((max(u, v) for u, v in pairs), default=-1)
+    pairs = _edge_rows(pairs)
+    max_ref = int(pairs.max()) if pairs.size else -1
     if n is None:
         n = max_ref + 1
     elif n < max_ref + 1:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .graph import Graph, GraphError
 
 
@@ -32,26 +34,25 @@ def line_graph(g: Graph) -> LineGraphResult:
     """
     if g.num_edges == 0:
         raise GraphError("line graph of an edgeless graph is undefined here")
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    incident: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for e, i in edge_index.items():
-        incident[e[0]].append(i)
-        incident[e[1]].append(i)
+    n = g.num_nodes
+    # edge id of every CSR slot; along a row the ids ascend with the neighbor
+    rows = np.repeat(np.arange(n), g.degrees)
+    edge_keys = g.edge_array[:, 0] * n + g.edge_array[:, 1]
+    slot_keys = np.minimum(rows, g.indices) * n + np.maximum(rows, g.indices)
+    slot_edge = np.searchsorted(edge_keys, slot_keys)
 
-    new_edges = []
-    for ids in incident:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                new_edges.append((ids[a], ids[b]))
+    # clique pairs per node: slot s pairs with every later slot of its row
+    later = g.indptr[rows + 1] - 1 - np.arange(len(rows))
+    first = np.repeat(np.arange(len(rows)), later)
+    run_start = np.repeat(np.cumsum(later) - later, later)
+    second = first + 1 + np.arange(len(first)) - run_start
+    new_edges = np.column_stack((slot_edge[first], slot_edge[second]))
 
-    def label(v: int) -> str:
-        if g.original_labels and v in g.original_labels:
-            return g.original_labels[v]
-        return str(v)
-
-    labels = {i: f"{label(u)}-{label(v)}" for (u, v), i in edge_index.items()}
+    parent = g.original_labels or {}
+    names = [parent.get(v, str(v)) for v in g.nodes]
+    origin = dict(enumerate(g.edges))
+    labels = {i: f"{names[u]}-{names[v]}" for i, (u, v) in origin.items()}
     lg = Graph(g.num_edges, new_edges, original_labels=labels)
-    origin = {i: e for e, i in edge_index.items()}
     return LineGraphResult(graph=lg, node_origin=origin)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .graph import Graph, GraphError
 
 
@@ -55,15 +57,18 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle,
     if size > g.num_nodes:
         raise GraphError(f"sample size {size} exceeds graph size {g.num_nodes}")
 
-    all_nodes = list(g.nodes)
+    all_nodes = g.nodes
+    indptr, indices = g.indptr, g.indices
     current = rng.choice(all_nodes)
     visited = [current]
     visited_set = {current}
     stagnant = 0
 
     while len(visited) < size:
-        nbrs = g.neighbors(current)
-        nxt = rng.choice(nbrs) if nbrs else rng.choice(all_nodes)
+        lo, hi = indptr[current], indptr[current + 1]
+        # choosing a slot of the CSR row draws exactly as choosing from the
+        # ascending neighbor tuple would
+        nxt = int(indices[rng.choice(range(lo, hi))]) if hi > lo else rng.choice(all_nodes)
         if nxt not in visited_set:
             visited.append(nxt)
             visited_set.add(nxt)
@@ -88,10 +93,12 @@ def delete_edges_randomly(g: Graph, p: float, rng: RngHandle) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"deletion probability must be in [0, 1], got {p}")
-    kept = [e for e in g.edges if rng.random() >= p]
+    draw = rng.generator.random
+    kept = np.array([draw() for _ in range(g.num_edges)]) >= p
+    edges = g.edge_array[kept]
     edge_w = None
     if g.edge_weights is not None:
-        kept_set = set(kept)
+        kept_set = set(map(tuple, edges.tolist()))
         edge_w = {e: w for e, w in g.edge_weights.items() if e in kept_set}
-    return Graph(g.num_nodes, kept, node_weights=g.node_weights,
+    return Graph(g.num_nodes, edges, node_weights=g.node_weights,
                  edge_weights=edge_w, original_labels=g.original_labels)

@@ -21,12 +21,18 @@ def laplacian(g: Graph) -> np.ndarray:
     """Dense integer Laplacian L = D - A (degree diagonal minus adjacency)."""
     n = g.num_nodes
     lap = np.zeros((n, n), dtype=np.int64)
-    for u, v in g.edges:
-        lap[u, v] = -1
-        lap[v, u] = -1
-        lap[u, u] += 1
-        lap[v, v] += 1
+    lap[np.repeat(np.arange(n), g.degrees), g.indices] = -1
+    lap[np.arange(n), np.arange(n)] = g.degrees
     return lap
+
+
+def _laplacian_row(g: Graph, i: int) -> np.ndarray:
+    """Row i of L = D - A, built from i's adjacency row alone."""
+    d = g.degree(i)
+    row = np.zeros(g.num_nodes, dtype=np.int64)
+    row[g.indices[g.indptr[i]:g.indptr[i + 1]]] = -1
+    row[i] = d
+    return row
 
 
 def labeled_signature_vector(g: Graph, i: int) -> np.ndarray:
@@ -34,33 +40,28 @@ def labeled_signature_vector(g: Graph, i: int) -> np.ndarray:
 
     The self slot l = i takes the "otherwise" branch, i.e. deg(v_i).
     """
-    d_i = g.degree(i)
-    s = np.full(g.num_nodes, d_i, dtype=np.int64)
-    for l in g.neighbors(i):
-        s[l] = g.degree(l)
+    s = np.full(g.num_nodes, g.degree(i), dtype=np.int64)
+    nbrs = g.indices[g.indptr[i]:g.indptr[i + 1]]
+    s[nbrs] = g.degrees[nbrs]
     return s
 
 
 def curvature_laplacian_residual(g: Graph, i: int) -> int:
     """Ric(v_i) - (L s^T)_i, computed with the actual matrix product.
 
-    For unweighted graphs this equals 2 deg(v_i) (1 - deg(v_i)) exactly;
-    weighted graphs are rejected.
+    Only row i of L enters the product, so the dense N x N Laplacian is never
+    built. For unweighted graphs this equals 2 deg(v_i) (1 - deg(v_i))
+    exactly; weighted graphs are rejected.
     """
     if not g.is_unweighted:
         raise GraphError("the curvature-Laplacian identity only holds unweighted")
     s = labeled_signature_vector(g, i)
-    return int(node_curvature(g, i) - (laplacian(g) @ s)[i])
+    return int(node_curvature(g, i) - _laplacian_row(g, i) @ s)
 
 
 def curvature_laplacian_holds(g: Graph) -> bool:
     """Check the identity at every node of an unweighted graph."""
     if not g.is_unweighted:
         raise GraphError("the curvature-Laplacian identity only holds unweighted")
-    lap = laplacian(g)
-    for i in g.nodes:
-        s = labeled_signature_vector(g, i)
-        d = g.degree(i)
-        if node_curvature(g, i) - int((lap[i] @ s)) != 2 * d * (1 - d):
-            return False
-    return True
+    return all(curvature_laplacian_residual(g, i) == 2 * d * (1 - d)
+               for i, d in enumerate(g.degrees.tolist()))

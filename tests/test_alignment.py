@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 
@@ -121,6 +122,42 @@ def test_cost_matrix_zero_iff_rows_identical():
     for i in range(6):
         for j in range(6):
             assert (c[i, j] == 0) == (rows1[i] == rows2[j]).all()
+
+
+def _exact_costs(rows1, rows2) -> np.ndarray:
+    return np.array([[math.sqrt(sum((p - q) ** 2 for p, q in zip(r, s))) for s in rows2]
+                     for r in rows1])
+
+
+@pytest.mark.parametrize("rows1, rows2, float_exact", [
+    # largest row sum of squares S just under 2^52: the float64 product is exact
+    ([[2**25 + 3, 2**25 - 1, 5], [2**26 - 1, 1, 0]],
+     [[2**25 - 4, 2**25 + 2, 1], [2**26 - 2, 3, 0]], True),
+    # S just over 2^52: a float64 Gram product gives 80 for the first entry,
+    # whose exact squared distance is 81
+    ([[67108912, 67108892, 7], [67108870, 67108895, 0]],
+     [[67108905, 67108888, 3], [67108888, 67108891, 9]], False),
+])
+def test_cost_matrix_exact_on_both_sides_of_2_53(rows1, rows2, float_exact):
+    from riccialign import SignatureMatrix
+
+    largest = max(sum(x * x for x in row) for row in rows1 + rows2)
+    assert (2 * largest < 2**53) == float_exact
+    m1 = SignatureMatrix(rows=np.array(rows1, dtype=np.int64), node_order=(0, 1), mode="ricci")
+    m2 = SignatureMatrix(rows=np.array(rows2, dtype=np.int64), node_order=(0, 1), mode="ricci")
+    assert (cost_matrix(m1, m2) == _exact_costs(rows1, rows2)).all()
+
+
+def test_cost_matrix_rejects_int64_overflow():
+    from riccialign import SignatureMatrix
+
+    # the squared distance (2^32 - 1)^2 does not fit in int64
+    m1 = SignatureMatrix(rows=np.array([[-2**31, 0]], dtype=np.int64), node_order=(0,),
+                         mode="ricci")
+    m2 = SignatureMatrix(rows=np.array([[2**31 - 1, 0]], dtype=np.int64), node_order=(0,),
+                         mode="ricci")
+    with pytest.raises(GraphError):
+        cost_matrix(m1, m2)
 
 
 def test_cost_matrix_validates_width_and_mode(example_graph):

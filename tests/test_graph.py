@@ -54,6 +54,18 @@ def test_edge_endpoint_out_of_range():
         Graph(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1)],        # non-integral id
+    [(True, 2)],       # bool id
+    [(0, 1, 2)],       # three endpoints
+    [(0,)],            # one endpoint
+    [("a", 1)],        # string id
+], ids=["float", "bool", "triple", "single", "string"])
+def test_malformed_edges_raise_graph_error(edges):
+    with pytest.raises(GraphError):
+        Graph(3, edges)
+
+
 def test_degree_and_neighbors():
     g = from_edge_list([(0, 1), (0, 2), (0, 3)])
     assert g.degree(0) == 3

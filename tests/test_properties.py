@@ -1,0 +1,177 @@
+"""Property tests: the array-backed Graph and its layers against pure-Python references.
+
+Each reference is the plain loop over tuples and sets that the vectorised
+code replaces. The integer results must agree exactly, and the seeded
+sampling functions must make the same draws.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riccialign import (
+    Graph,
+    RngHandle,
+    curvature_laplacian_residual,
+    degree_matrix,
+    delete_edges_randomly,
+    edge_pair_count,
+    labeled_signature_vector,
+    laplacian,
+    line_graph,
+    node_curvature,
+    node_curvatures,
+    random_walk_sample,
+    ricci_matrix,
+)
+
+# small graphs; no deadline, since first calls pay numpy's warm-up
+property_test = settings(deadline=None, max_examples=60)
+
+
+@st.composite
+def edge_lists(draw, max_nodes=12):
+    """(n, pairs): pairs may repeat and come in either orientation."""
+    n = draw(st.integers(2, max_nodes))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return n, [(u, v) for u, v in pairs if u != v]
+
+
+class Reference:
+    """Tuple-and-set graph: canonical sorted edges and sorted adjacency lists."""
+
+    def __init__(self, n, pairs):
+        self.n = n
+        self.edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+        self.adj = [[] for _ in range(n)]
+        for u, v in self.edges:
+            self.adj[u].append(v)
+            self.adj[v].append(u)
+        self.adj = [sorted(a) for a in self.adj]
+
+    def degree(self, v):
+        return len(self.adj[v])
+
+    def curvature(self, v):
+        d = self.degree(v)
+        return d * (2 - d) - sum(self.degree(w) for w in self.adj[v])
+
+
+def reference_walk(ref, size, rng, max_iter=100):
+    """The walk over neighbor tuples, as before the CSR Graph."""
+    all_nodes = list(range(ref.n))
+    current = rng.choice(all_nodes)
+    visited, visited_set, stagnant = [current], {current}, 0
+    while len(visited) < size:
+        nbrs = tuple(ref.adj[current])
+        nxt = rng.choice(nbrs) if nbrs else rng.choice(all_nodes)
+        if nxt not in visited_set:
+            visited.append(nxt)
+            visited_set.add(nxt)
+            stagnant = 0
+        else:
+            stagnant += 1
+        if stagnant >= max_iter:
+            potential = sorted(set(all_nodes) - visited_set)
+            if not potential:
+                break
+            nxt = rng.choice(potential)
+            stagnant = 0
+        current = nxt
+    return visited
+
+
+def reference_subgraph_edges(ref, keep):
+    index = {v: i for i, v in enumerate(sorted(set(keep)))}
+    return tuple((index[u], index[v]) for u, v in ref.edges if u in index and v in index)
+
+
+@property_test
+@given(edge_lists())
+def test_accessors_match_reference(data):
+    n, pairs = data
+    g, ref = Graph(n, pairs), Reference(n, pairs)
+    assert g.edges == tuple(ref.edges)
+    assert g.num_edges == len(ref.edges)
+    assert g == Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    edge_set = set(ref.edges)
+    for v in range(n):
+        assert g.neighbors(v) == tuple(ref.adj[v])
+        assert g.degree(v) == ref.degree(v)
+        for w in range(n):
+            assert g.has_edge(v, w) == ((min(v, w), max(v, w)) in edge_set)
+    assert g.max_degree() == max(ref.degree(v) for v in range(n))
+
+
+@property_test
+@given(edge_lists(), st.data())
+def test_induced_subgraph_matches_reference(data, draw):
+    n, pairs = data
+    keep = draw.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    g, ref = Graph(n, pairs), Reference(n, pairs)
+    sub = g.induced_subgraph(keep)
+    assert sub.num_nodes == len(keep)
+    assert sub.edges == reference_subgraph_edges(ref, keep)
+    assert sub.original_labels == {i: str(v) for i, v in enumerate(sorted(keep))}
+
+
+@property_test
+@given(edge_lists())
+def test_line_graph_matches_reference(data):
+    n, pairs = data
+    g, ref = Graph(n, pairs), Reference(n, pairs)
+    if not ref.edges:
+        return
+    incident = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(ref.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    expected = sorted((ids[a], ids[b]) for ids in incident
+                      for a in range(len(ids)) for b in range(a + 1, len(ids)))
+    result = line_graph(g)
+    assert result.graph.edges == tuple(expected)
+    assert result.graph.num_edges == edge_pair_count(g)
+    assert result.node_origin == dict(enumerate(ref.edges))
+
+
+@property_test
+@given(edge_lists())
+def test_curvatures_and_signature_rows_match_reference(data):
+    n, pairs = data
+    g, ref = Graph(n, pairs), Reference(n, pairs)
+    curv = [ref.curvature(v) for v in range(n)]
+    assert node_curvatures(g) == curv
+    m = g.max_degree() + 1
+    for matrix, feature in ((degree_matrix(g, m), ref.degree),
+                            (ricci_matrix(g, m), curv.__getitem__)):
+        for v in range(n):
+            row = sorted(feature(w) for w in ref.adj[v])
+            assert matrix.rows[v].tolist() == row + [0] * (m - len(row))
+
+
+@property_test
+@given(edge_lists(), st.integers(0, 2**32), st.floats(0.0, 1.0))
+def test_walk_and_deletion_draw_like_the_tuple_reference(data, seed, p):
+    n, pairs = data
+    g, ref = Graph(n, pairs), Reference(n, pairs)
+    size = 1 + seed % n
+    rng, ref_rng = RngHandle(seed), RngHandle(seed)
+    sample = random_walk_sample(g, size, rng)
+    visited = reference_walk(ref, size, ref_rng)
+    assert sample.edges == reference_subgraph_edges(ref, visited)
+    kept = delete_edges_randomly(sample, p, rng)
+    assert kept.edges == tuple(e for e in sample.edges if ref_rng.random() >= p)
+
+
+@property_test
+@given(edge_lists())
+def test_curvature_laplacian_identity_on_random_graphs(data):
+    n, pairs = data
+    g = Graph(n, pairs)
+    lap = laplacian(g)
+    for v in range(n):
+        d = g.degree(v)
+        residual = curvature_laplacian_residual(g, v)
+        assert residual == 2 * d * (1 - d)
+        assert residual == node_curvature(g, v) - lap[v] @ labeled_signature_vector(g, v)
