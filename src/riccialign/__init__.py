@@ -48,7 +48,7 @@ from .alignment import (
     Assignment,
     SignatureMatrix,
     align,
-    are_nodes_equivalent,
+    alignment_cost,
     common_max_degree,
     cost_matrix,
     degree_matrix,
@@ -82,8 +82,8 @@ __all__ = [
     "LineGraphResult", "line_graph", "edge_pair_count",
     "RngHandle", "random_walk_sample", "delete_edges_randomly",
     "SignatureMatrix", "Assignment", "common_max_degree", "degree_matrix",
-    "ricci_matrix", "cost_matrix", "hungarian", "align", "score_alignment",
-    "are_nodes_equivalent", "write_assignment_csv",
+    "ricci_matrix", "cost_matrix", "alignment_cost", "hungarian", "align",
+    "score_alignment", "write_assignment_csv",
     "ExperimentConfig", "ExperimentReport", "ExperimentError", "TorusReport",
     "run_torus_experiment", "run_ppi_experiment", "emit_report",
     "run_cle_verification",

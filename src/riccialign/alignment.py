@@ -11,13 +11,17 @@ exact minimum-cost assignment solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 
 from .graph import Graph, GraphError
 from .curvature import node_curvatures
+
+
+# The paper's method names (the `rmc` flags and the PPI config's `mode`) and
+# the signature mode each one aligns with.
+MODES = {"rmc": "ricci", "dmc": "degree"}
 
 
 @dataclass(frozen=True)
@@ -170,11 +174,14 @@ def hungarian(cost) -> Assignment:
     return Assignment(mapping=mapping, total_cost=total)
 
 
-def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
-    """Full alignment: signature matrices at the common width, cost, solve.
+def alignment_cost(g1: Graph, g2: Graph, mode: str) -> np.ndarray:
+    """The shared front half of `align()`: signature rows and their costs.
 
-    The graphs must have the same node count; the returned mapping sends
-    g1 node ids to g2 node ids.
+    Checks that the graphs have equal node counts and that mode is "degree"
+    or "ricci", builds both signature matrices at the common maximum degree
+    and returns their cost matrix (rows are g1 nodes, columns g2 nodes).
+    `align()` is `hungarian` on this matrix; callers that also need the
+    per-pair costs (the `rmc align` CSV) call the two halves themselves.
     """
     if g1.num_nodes != g2.num_nodes:
         raise GraphError(
@@ -183,7 +190,16 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
         raise GraphError(f"mode must be 'degree' or 'ricci', got {mode!r}")
     m = common_max_degree(g1, g2)
     build = degree_matrix if mode == "degree" else ricci_matrix
-    return hungarian(cost_matrix(build(g1, m), build(g2, m)))
+    return cost_matrix(build(g1, m), build(g2, m))
+
+
+def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
+    """Full alignment: `hungarian` on `alignment_cost(g1, g2, mode)`.
+
+    The graphs must have the same node count; the returned mapping sends
+    g1 node ids to g2 node ids.
+    """
+    return hungarian(alignment_cost(g1, g2, mode))
 
 
 def score_alignment(a: Assignment) -> tuple[int, float]:
@@ -192,24 +208,6 @@ def score_alignment(a: Assignment) -> tuple[int, float]:
     if not a.mapping:
         return 0, 0.0
     return correct, 100.0 * correct / len(a.mapping)
-
-
-def _neighbor_degree_signature(g: Graph, v: int) -> list[list[int]]:
-    return [sorted(g.degree(x) for x in g.neighbors(w)) for w in g.neighbors(v)]
-
-
-def are_nodes_equivalent(g: Graph, u: int, v: int) -> bool:
-    """Geometric equivalence test for low-degree nodes.
-
-    True iff both nodes have degree 1, 2, or 3 and some permutation of u's
-    per-neighbor sorted neighbor-degree lists equals v's. Used when counting
-    alignment hits geometrically instead of by node id.
-    """
-    if g.degree(u) not in (1, 2, 3) or g.degree(v) not in (1, 2, 3):
-        return False
-    sig_u = _neighbor_degree_signature(g, u)
-    sig_v = _neighbor_degree_signature(g, v)
-    return any(list(perm) == sig_v for perm in permutations(sig_u))
 
 
 def write_assignment_csv(a: Assignment, cost, path) -> None:

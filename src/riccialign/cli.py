@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .alignment import common_max_degree, cost_matrix, degree_matrix, \
-    hungarian, ricci_matrix, score_alignment, write_assignment_csv
+from .alignment import MODES, alignment_cost, hungarian, score_alignment, \
+    write_assignment_csv
 from .curvature import write_distribution_csv
 from .experiments import (
     ExperimentConfig,
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     ppi.add_argument("--intermediate", type=int,
                      help="intermediate sample size (default 1000)")
     ppi.add_argument("--seed", type=int, help="master seed (default 0)")
-    ppi.add_argument("--mode", choices=("rmc", "dmc"), help="signature mode (default rmc)")
+    ppi.add_argument("--mode", choices=tuple(MODES), help="signature mode (default rmc)")
     ppi.add_argument("--out", help="report output path")
     ppi.add_argument("--format", choices=("json", "csv", "markdown"),
                      help="report format (default json)")
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     cle.add_argument("--seed", type=int, default=0)
 
     al = sub.add_parser("align", help="align two graph files")
-    al.add_argument("--mode", choices=("rmc", "dmc"), required=True)
+    al.add_argument("--mode", choices=tuple(MODES), required=True)
     al.add_argument("--g1", required=True)
     al.add_argument("--g2", required=True)
     al.add_argument("--out", required=True, help="assignment CSV output path")
@@ -92,45 +92,36 @@ def _cmd_torus(args) -> int:
     return 0 if report.hole_alignment_rate == 100.0 else 1
 
 
-def _cmd_ppi(args) -> int:
-    settings = {
-        "input": None, "rounds": None, "p": None, "size": None,
-        "intermediate": None, "seed": None, "mode": None, "out": None,
-        "format": None,
-    }
-    if args.config:
-        file_values = read_config_file(args.config)
-        unknown = set(file_values) - set(settings)
-        if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-        settings.update(file_values)
-    for key in settings:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
-    if not settings["input"]:
-        raise SystemExit("an input graph is required (--input or config input=)")
+# `rmc ppi` setting -> (ExperimentConfig field, cast); a setting that no flag
+# or config line gives is left to the dataclass default.
+_PPI_FIELDS = {"intermediate": ("intermediate_sample_size", int),
+               "size": ("subgraph_size", int), "p": ("deletion_probability", float),
+               "rounds": ("rounds", int), "seed": ("seed", int), "mode": ("mode", str)}
 
-    def setting(key, default, cast):
-        return default if settings[key] is None else cast(settings[key])
+
+def _cmd_ppi(args) -> int:
+    keys = ("input", *_PPI_FIELDS, "out", "format")
+    settings = read_config_file(args.config) if args.config else {}
+    unknown = set(settings) - set(keys)
+    if unknown:
+        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+    settings.update({key: getattr(args, key) for key in keys
+                     if getattr(args, key) is not None})
+    if not settings.get("input"):
+        raise SystemExit("an input graph is required (--input or config input=)")
 
     cfg = ExperimentConfig(
         input_path=str(settings["input"]),
-        intermediate_sample_size=setting("intermediate", 1000, int),
-        subgraph_size=setting("size", 500, int),
-        deletion_probability=setting("p", 0.01, float),
-        rounds=setting("rounds", 10, int),
-        seed=setting("seed", 0, int),
-        mode=setting("mode", "rmc", str),
-    )
+        **{field: cast(settings[key]) for key, (field, cast) in _PPI_FIELDS.items()
+           if key in settings})
     report = run_ppi_experiment(cfg)
     for r in report.per_round:
         print(f"round {r.round_index}: {r.correct} correct "
               f"({r.percentage:g}%) in {r.seconds:.2f}s")
     print(f"mean percentage: {report.mean_percentage:g}%")
-    out = settings["out"]
+    out = settings.get("out")
     if out:
-        emit_report(report, out, fmt=setting("format", "json", str))
+        emit_report(report, out, fmt=settings.get("format", "json"))
         print(f"report written to {out}")
     return 0
 
@@ -152,9 +143,7 @@ def _cmd_align(args) -> int:
     if g1.num_nodes != g2.num_nodes:
         raise SystemExit(f"graphs must have equal node counts, "
                          f"got {g1.num_nodes} and {g2.num_nodes}")
-    m = common_max_degree(g1, g2)
-    build = ricci_matrix if args.mode == "rmc" else degree_matrix
-    cost = cost_matrix(build(g1, m), build(g2, m))
+    cost = alignment_cost(g1, g2, MODES[args.mode])
     result = hungarian(cost)
     write_assignment_csv(result, cost, args.out)
     correct, pct = score_alignment(result)

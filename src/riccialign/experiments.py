@@ -23,14 +23,11 @@ from .tessellation import triangular_ring_2d, lift_to_3d
 from .spectral import curvature_laplacian_holds
 from .linegraph import line_graph
 from .sampling import RngHandle, random_walk_sample, delete_edges_randomly
-from .alignment import align, common_max_degree, ricci_matrix, score_alignment
+from .alignment import MODES, align, common_max_degree, ricci_matrix, score_alignment
 
 
 class ExperimentError(RuntimeError):
     """A pipeline stage could not produce what the configuration asked for."""
-
-
-_MODES = {"dmc": "degree", "rmc": "ricci"}
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,8 @@ class ExperimentConfig:
             raise GraphError("deletion_probability must be in [0, 1]")
         if self.rounds < 1:
             raise GraphError("rounds must be >= 1")
-        if self.mode not in _MODES:
-            raise GraphError(f"mode must be one of {sorted(_MODES)}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise GraphError(f"mode must be one of {sorted(MODES)}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ def run_ppi_experiment(cfg: ExperimentConfig, source: Graph | None = None) -> Ex
             f"line graph has {universe.num_nodes} nodes, fewer than the "
             f"per-round subgraph size {cfg.subgraph_size}")
 
-    mode = _MODES[cfg.mode]
+    mode = MODES[cfg.mode]
     results = []
     for r in range(1, cfg.rounds + 1):
         rng = RngHandle(cfg.seed + r)

@@ -371,6 +371,13 @@ def load_graphml(path) -> Graph:
 
 # -- plain edge-list text format --------------------------------------------
 
+def _edge_list_int(token: str, path, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphError(f"{path}:{lineno}: expected an integer, got {token!r}") from None
+
+
 def read_edge_list(path) -> Graph:
     """Read the `u v` per-line format, with `#` comments and optional `n=<N>`."""
     path = Path(path)
@@ -382,12 +389,12 @@ def read_edge_list(path) -> Graph:
             if not line:
                 continue
             if line.startswith("n="):
-                n = int(line[2:])
+                n = _edge_list_int(line[2:], path, lineno)
                 continue
             parts = line.split()
             if len(parts) != 2:
                 raise GraphError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
+            pairs.append(tuple(_edge_list_int(t, path, lineno) for t in parts))
     return from_edge_list(pairs, n=n)
 
 

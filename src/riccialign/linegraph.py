@@ -9,7 +9,6 @@ denser, more surface-like stand-ins for the original network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -62,13 +61,3 @@ def edge_pair_count(g: Graph) -> int:
     This is |E(L(G))|, kept as an independent size oracle for line_graph.
     """
     return sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in g.nodes)
-
-
-def write_origin_csv(result: LineGraphResult, path) -> None:
-    """Write the provenance map as `new_id,orig_u,orig_v` lines."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write("new_id,orig_u,orig_v\n")
-        for i in sorted(result.node_origin):
-            u, v = result.node_origin[i]
-            fh.write(f"{i},{u},{v}\n")

@@ -4,17 +4,13 @@ The triangular ring is a fixed 18-node instance (a hexagonal ring of
 equilateral triangles); the square frame and the mixed hexagon/square/triangle
 tiling are the other flat one-hole shapes. ``lift_to_3d`` duplicates a flat
 ring and joins corresponding nodes, which is the torus used throughout the
-alignment experiments. Coordinates are plotting metadata only and never feed
-any algorithm.
+alignment experiments.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 
 from .graph import Graph, GraphError, canonical_pair
 
@@ -35,22 +31,10 @@ TRIANGULAR_RING_EDGES: tuple[tuple[int, int], ...] = tuple(sorted(
     ]
 ))
 
-_TRIANGULAR_RING_POSITIONS = {
-    0: (1, 1), 1: (2, 0), 2: (1, -1), 3: (-1, -1), 4: (-2, 0), 5: (-1, 1),
-    6: (0, 2), 7: (2, 2), 8: (3, 1), 9: (4, 0), 10: (3, -1), 11: (2, -2),
-    12: (0, -2), 13: (-2, -2), 14: (-3, -1), 15: (-4, 0), 16: (-3, 1),
-    17: (-2, 2),
-}
-
 
 def triangular_ring_2d() -> Graph:
     """The 18-node, 36-edge triangulated hexagonal ring."""
     return Graph(18, TRIANGULAR_RING_EDGES)
-
-
-def triangular_ring_positions() -> dict[int, tuple[float, float]]:
-    """Plotting coordinates of the triangular ring's nodes."""
-    return {v: (float(x), float(y)) for v, (x, y) in _TRIANGULAR_RING_POSITIONS.items()}
 
 
 def square_frame_2d(side: int) -> Graph:
@@ -72,12 +56,6 @@ def square_frame_2d(side: int) -> Graph:
     return Graph(len(boundary), edges)
 
 
-def square_frame_positions(side: int) -> dict[int, tuple[float, float]]:
-    boundary = [(r, c) for r in range(side) for c in range(side)
-                if r in (0, side - 1) or c in (0, side - 1)]
-    return {i: (float(c), float(-r)) for i, (r, c) in enumerate(boundary)}
-
-
 def mixed_tiling_2d() -> Graph:
     """Hexagon ringed by six squares, with six triangles filling the gaps.
 
@@ -97,23 +75,6 @@ def mixed_tiling_2d() -> Graph:
         b_prev = 7 + 2 * ((i - 1) % 6)
         edges.append((b_prev, a_i))     # gap triangle's outer edge
     return Graph(18, edges)
-
-
-def mixed_tiling_positions() -> dict[int, tuple[float, float]]:
-    pos = {}
-    for i in range(6):
-        angle = math.pi / 3 * i
-        pos[i] = (math.cos(angle), math.sin(angle))
-    for i in range(6):
-        j = (i + 1) % 6
-        (xi, yi), (xj, yj) = pos[i], pos[j]
-        # outward unit normal of hexagon edge (i, j)
-        nx, ny = (xi + xj) / 2, (yi + yj) / 2
-        norm = math.hypot(nx, ny)
-        nx, ny = nx / norm, ny / norm
-        pos[6 + 2 * i] = (xi + nx, yi + ny)
-        pos[7 + 2 * i] = (xj + nx, yj + ny)
-    return pos
 
 
 def lift_to_3d(g2d: Graph) -> Graph:
@@ -141,14 +102,6 @@ def lift_to_3d(g2d: Graph) -> Graph:
         labels.update({v + n: lab + "+top" for v, lab in g2d.original_labels.items()})
     return Graph(2 * n, edges, node_weights=node_w, edge_weights=edge_w,
                  original_labels=labels)
-
-
-def lift_positions(positions, offset=(10.0, 3.0)) -> dict[int, tuple[float, float]]:
-    """Plotting coordinates for a lifted graph: the top copy is shifted."""
-    n = len(positions)
-    out = {v: (float(x), float(y)) for v, (x, y) in positions.items()}
-    out.update({v + n: (x + offset[0], y + offset[1]) for v, (x, y) in positions.items()})
-    return out
 
 
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
@@ -224,13 +177,3 @@ def build_torus(spec: TorusSpec, square_side: int = 4) -> Graph:
     n = flat.num_nodes
     prisms = [(tri, tuple(v + n for v in tri)) for tri in triangles(flat)]
     return triangulate_prisms(lifted, prisms)
-
-
-def write_layout_json(g: Graph, positions, path) -> None:
-    """Write nodes with coordinates and the edge list as JSON for plotting."""
-    payload = {
-        "nodes": [{"id": v, "x": positions[v][0], "y": positions[v][1]}
-                  for v in g.nodes],
-        "edges": [[u, v] for u, v in g.edges],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2))

@@ -9,7 +9,6 @@ from riccialign import (
     Graph,
     GraphError,
     align,
-    are_nodes_equivalent,
     common_max_degree,
     cost_matrix,
     degree_matrix,
@@ -268,43 +267,6 @@ def test_signature_locality_under_added_component(example_graph):
     rows_base = ricci_matrix(base, m).rows
     rows_aug = ricci_matrix(augmented, m).rows
     assert (rows_aug[:n] == rows_base).all()
-
-
-def test_are_nodes_equivalent_reflexive_and_symmetric_leaves():
-    claw = from_edge_list(CLAW)
-    assert are_nodes_equivalent(claw, 1, 1)
-    assert are_nodes_equivalent(claw, 1, 2)
-
-
-def test_are_nodes_equivalent_degree_gate():
-    g = star(4)
-    assert not are_nodes_equivalent(g, 0, 0)  # degree 4 center
-    assert are_nodes_equivalent(g, 1, 2)
-
-
-def test_are_nodes_equivalent_distinguishes_structure():
-    # path 0-1-2-3-4: node 1 sees degree lists [[2],[2,2]], node 3 sees [[2,2],[1... ]]
-    p5 = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert are_nodes_equivalent(p5, 1, 3)
-    assert not are_nodes_equivalent(p5, 0, 2)
-
-
-def test_are_nodes_equivalent_searches_all_permutations():
-    # u's neighbor signature lists arrive in the opposite order to v's, so an
-    # early-return comparison of only the first permutation would say False
-    g = from_edge_list([
-        (0, 1), (0, 2),          # u = 0 with neighbors 1 (leaf-ish) and 2
-        (1, 3),                  # neighbor 1 continues to a leaf
-        (2, 4), (2, 5),          # neighbor 2 branches
-        (6, 7), (6, 8),          # v = 6 mirrors u with swapped neighbor roles
-        (7, 9), (7, 10),
-        (8, 11),
-    ])
-    sig_u = [sorted(g.degree(x) for x in g.neighbors(w)) for w in g.neighbors(0)]
-    sig_v = [sorted(g.degree(x) for x in g.neighbors(w)) for w in g.neighbors(6)]
-    assert sig_u != sig_v                # first permutation alone fails
-    assert sorted(sig_u) == sorted(sig_v)
-    assert are_nodes_equivalent(g, 0, 6)
 
 
 def test_write_assignment_csv(tmp_path):

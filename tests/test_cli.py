@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from riccialign import from_edge_list, write_edge_list
+from riccialign import Graph, align, alignment_cost, from_edge_list, hungarian, \
+    write_edge_list
+from riccialign.alignment import MODES
 from riccialign.cli import main, read_config_file
 
 from conftest import preferential_attachment_graph, write_graphml
@@ -39,6 +41,27 @@ def test_align_command(capsys, tmp_path):
     assert lines[0] == "g1_node,g2_node,row_cost"
     assert len(lines) == 5
     assert "fixed points: 4 (100%)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["rmc", "dmc"])
+def test_align_command_matches_library(capsys, tmp_path, lifted_torus, mode):
+    g1 = lifted_torus
+    g2 = Graph(g1.num_nodes, g1.edges[1:])  # one edge removed
+    paths = tmp_path / "g1.edges", tmp_path / "g2.edges"
+    write_edge_list(g1, paths[0])
+    write_edge_list(g2, paths[1])
+    out = tmp_path / "assignment.csv"
+    assert main(["align", "--mode", mode, "--g1", str(paths[0]),
+                 "--g2", str(paths[1]), "--out", str(out)]) == 0
+
+    cost = alignment_cost(g1, g2, MODES[mode])
+    expected = hungarian(cost)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert {int(src): int(dst) for src, dst, _ in rows} == expected.mapping
+    assert [float(c) for *_, c in rows] == [cost[src, dst] for src, dst in
+                                            sorted(expected.mapping.items())]
+    total = align(g1, g2, MODES[mode]).total_cost
+    assert f"total cost {total:g}\n" in capsys.readouterr().out
 
 
 def test_align_command_rejects_size_mismatch(tmp_path):

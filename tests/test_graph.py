@@ -290,3 +290,17 @@ def test_edge_list_rejects_garbage(tmp_path):
     path.write_text("0 1 2\n")
     with pytest.raises(GraphError):
         read_edge_list(path)
+
+
+def test_edge_list_rejects_non_integer_endpoint(tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_text("0 1\n0 x\n")
+    with pytest.raises(GraphError, match=r"bad\.edges:2: .*'x'"):
+        read_edge_list(path)
+
+
+def test_edge_list_rejects_non_integer_header(tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_text("# header\nn=abc\n0 1\n")
+    with pytest.raises(GraphError, match=r"bad\.edges:2: .*'abc'"):
+        read_edge_list(path)

@@ -7,7 +7,6 @@ from riccialign import (
     from_edge_list,
     line_graph,
 )
-from riccialign.linegraph import write_origin_csv
 
 from conftest import random_connected_graph, random_graph
 
@@ -98,10 +97,3 @@ def test_incident_edges_become_cliques():
             for a in range(len(ids)):
                 for b in range(a + 1, len(ids)):
                     assert result.graph.has_edge(ids[a], ids[b])
-
-
-def test_origin_csv(tmp_path):
-    result = line_graph(from_edge_list([(0, 1), (1, 2)]))
-    path = tmp_path / "origin.csv"
-    write_origin_csv(result, path)
-    assert path.read_text() == "new_id,orig_u,orig_v\n0,0,1\n1,1,2\n"

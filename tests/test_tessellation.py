@@ -14,14 +14,7 @@ from riccialign import (
     triangular_ring_2d,
     triangulate_prisms,
 )
-from riccialign.tessellation import (
-    lift_positions,
-    mixed_tiling_positions,
-    square_frame_positions,
-    triangles,
-    triangular_ring_positions,
-    write_layout_json,
-)
+from riccialign.tessellation import triangles
 
 from conftest import random_connected_graph
 
@@ -37,11 +30,6 @@ def test_triangular_ring_degree_classes():
     assert [g.degree(v) for v in range(6)] == [5] * 6
     # outer ring alternates between touching two inner nodes and one
     assert [g.degree(v) for v in range(6, 18)] == [4, 3] * 6
-
-
-def test_triangular_ring_positions_cover_all_nodes():
-    pos = triangular_ring_positions()
-    assert sorted(pos) == list(range(18))
 
 
 def test_square_frame_smallest():
@@ -78,13 +66,6 @@ def test_mixed_tiling_counts():
     degrees = Counter(g.degree(v) for v in g.nodes)
     assert degrees == {4: 6, 3: 12}
     assert len(degrees) >= 2
-
-
-def test_mixed_tiling_positions_distinct():
-    pos = mixed_tiling_positions()
-    assert len(pos) == 18
-    rounded = {(round(x, 9), round(y, 9)) for x, y in pos.values()}
-    assert len(rounded) == 18
 
 
 def test_lift_torus_counts(lifted_torus):
@@ -208,24 +189,3 @@ def test_build_torus_dispatch():
     # 18 prisms, 3 diagonals each, no shared-face collisions with this orientation
     assert full.num_nodes == 36
     assert full.num_edges > 90
-
-
-def test_layout_json(tmp_path):
-    import json
-
-    g = triangular_ring_2d()
-    path = tmp_path / "ring.json"
-    write_layout_json(g, triangular_ring_positions(), path)
-    payload = json.loads(path.read_text())
-    assert len(payload["nodes"]) == 18
-    assert len(payload["edges"]) == 36
-
-
-def test_lift_positions_offset():
-    pos = lift_positions({0: (1.0, 2.0), 1: (0.0, 0.0)}, offset=(10.0, 3.0))
-    assert pos[2] == (11.0, 5.0)
-    assert pos[3] == (10.0, 3.0)
-
-
-def test_square_frame_positions_match_nodes():
-    assert sorted(square_frame_positions(4)) == list(range(12))
