@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -36,6 +37,15 @@ def read_config_file(path) -> dict:
     return values
 
 
+# `rmc ppi` setting -> (ExperimentConfig field, cast, help); a setting that no
+# flag or config line gives is left to the dataclass default.
+_PPI_FIELDS = {"rounds": ("rounds", int, "number of alignment rounds"),
+               "p": ("deletion_probability", float, "edge deletion probability"),
+               "size": ("subgraph_size", int, "per-round subgraph size"),
+               "intermediate": ("intermediate_sample_size", int, "intermediate sample size"),
+               "seed": ("seed", int, "master seed"), "mode": ("mode", str, "signature mode")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmc",
@@ -50,13 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     ppi = sub.add_parser("ppi", help="sampled line-graph alignment experiment")
     ppi.add_argument("--config", help="key=value file; explicit flags override it")
     ppi.add_argument("--input", help="input graph (.graphml or edge-list text)")
-    ppi.add_argument("--rounds", type=int, help="number of alignment rounds (default 10)")
-    ppi.add_argument("--p", type=float, help="edge deletion probability (default 0.01)")
-    ppi.add_argument("--size", type=int, help="per-round subgraph size (default 500)")
-    ppi.add_argument("--intermediate", type=int,
-                     help="intermediate sample size (default 1000)")
-    ppi.add_argument("--seed", type=int, help="master seed (default 0)")
-    ppi.add_argument("--mode", choices=tuple(MODES), help="signature mode (default rmc)")
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for key, (field, cast, text) in _PPI_FIELDS.items():
+        ppi.add_argument(f"--{key}", type=cast, help=f"{text} (default {defaults[field]})",
+                         choices=tuple(MODES) if key == "mode" else None)
     ppi.add_argument("--out", help="report output path")
     ppi.add_argument("--format", choices=("json", "csv", "markdown"),
                      help="report format (default json)")
@@ -92,13 +99,6 @@ def _cmd_torus(args) -> int:
     return 0 if report.hole_alignment_rate == 100.0 else 1
 
 
-# `rmc ppi` setting -> (ExperimentConfig field, cast); a setting that no flag
-# or config line gives is left to the dataclass default.
-_PPI_FIELDS = {"intermediate": ("intermediate_sample_size", int),
-               "size": ("subgraph_size", int), "p": ("deletion_probability", float),
-               "rounds": ("rounds", int), "seed": ("seed", int), "mode": ("mode", str)}
-
-
 def _cmd_ppi(args) -> int:
     keys = ("input", *_PPI_FIELDS, "out", "format")
     settings = read_config_file(args.config) if args.config else {}
@@ -112,7 +112,7 @@ def _cmd_ppi(args) -> int:
 
     cfg = ExperimentConfig(
         input_path=str(settings["input"]),
-        **{field: cast(settings[key]) for key, (field, cast) in _PPI_FIELDS.items()
+        **{field: cast(settings[key]) for key, (field, cast, _) in _PPI_FIELDS.items()
            if key in settings})
     report = run_ppi_experiment(cfg)
     for r in report.per_round:

@@ -16,7 +16,7 @@ over an immutable graph is safe.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,56 +25,68 @@ import numpy as np
 from .graph import Graph, GraphError, canonical_pair
 
 
-def edge_curvature_unweighted(g: Graph, e) -> int:
-    """Curvature 2 - deg(v1) - deg(v2) of an existing edge."""
+def _edge_curvatures(g: Graph) -> np.ndarray:
+    """Curvature of every edge, in ``g.edge_array`` order.
+
+    int64 2 - deg(v1) - deg(v2) when unweighted; otherwise the formula above
+    rearranged as w_v1 + w_v2 - sqrt(w_e) * (w_v1 * S_v1 + w_v2 * S_v2), with
+    S_x the sum of 1 / sqrt(w_f) over all edges f at x.
+    """
+    n, ends = g.num_nodes, g.edge_array
+    u, v = ends.T
+    if g.is_unweighted:
+        return 2 - g.degrees[u] - g.degrees[v]
+    w_node, w_edge = np.ones(n), np.ones(len(ends))
+    if g.node_weights:
+        w_node[list(g.node_weights)] = list(g.node_weights.values())
+    if g.edge_weights:  # edge_array is sorted by the row-major key u * N + v
+        keys = np.array(list(g.edge_weights), dtype=np.int64) @ (n, 1)
+        w_edge[np.searchsorted(ends @ (n, 1), keys)] = list(g.edge_weights.values())
+    s = np.bincount(ends.ravel(), np.repeat(1 / np.sqrt(w_edge), 2), minlength=n)
+    return w_node[u] + w_node[v] - np.sqrt(w_edge) * (w_node[u] * s[u] + w_node[v] * s[v])
+
+
+def _node_sums(g: Graph, edge_c: np.ndarray) -> np.ndarray:
+    """Sum of edge_c over each node's incident edges, in edge order."""
+    out = np.zeros(g.num_nodes, dtype=edge_c.dtype)
+    np.add.at(out, g.edge_array.ravel(), np.repeat(edge_c, 2))
+    return out
+
+
+def _edge_slot(g: Graph, e) -> int:
+    """Row of edge e in ``g.edge_array``; GraphError if g has no such edge."""
     u, v = canonical_pair(*e)
     if not g.has_edge(u, v):
         raise GraphError(f"no edge {(u, v)}")
+    return int(np.searchsorted(g.edge_array @ (g.num_nodes, 1), u * g.num_nodes + v))
+
+
+def edge_curvature_unweighted(g: Graph, e) -> int:
+    """Curvature 2 - deg(v1) - deg(v2) of an existing edge (one O(E) pass)."""
+    slot = _edge_slot(g, e)
     if not g.is_unweighted:
         raise GraphError("graph has non-unit weights; use edge_curvature_weighted")
-    return 2 - g.degree(u) - g.degree(v)
+    return int(_edge_curvatures(g)[slot])
 
 
 def edge_curvature_weighted(g: Graph, e) -> float:
-    """Weighted Forman-Ricci curvature of an existing edge.
+    """Weighted Forman-Ricci curvature of an existing edge (one O(E) pass).
 
     Requires strictly positive weights (enforced at graph construction).
     Equals edge_curvature_unweighted when every weight is 1.
     """
-    u, v = canonical_pair(*e)
-    if not g.has_edge(u, v):
-        raise GraphError(f"no edge {(u, v)}")
-    w_e = g.edge_weight(u, v)
-    w_u, w_v = g.node_weight(u), g.node_weight(v)
-    sum_u = sum(w_u / math.sqrt(w_e * g.edge_weight(u, x)) for x in g.neighbors(u))
-    sum_v = sum(w_v / math.sqrt(w_e * g.edge_weight(v, x)) for x in g.neighbors(v))
-    return w_e * (w_u / w_e + w_v / w_e - sum_u - sum_v)
+    return float(_edge_curvatures(g)[_edge_slot(g, e)])
 
 
 def node_curvature(g: Graph, v: int):
-    """Sum of incident-edge curvatures (0 for an isolated node).
-
-    Integer for unweighted graphs, float otherwise.
-    """
-    if g.is_unweighted:
-        d = g.degree(v)
-        return d * (2 - d) - sum(g.degree(w) for w in g.neighbors(v))
-    return sum(edge_curvature_weighted(g, (v, w)) for w in g.neighbors(v))
+    """Sum of v's incident-edge curvatures (one O(E) pass); int when unweighted."""
+    g.degree(v)  # GraphError for an unknown node id
+    return node_curvatures(g)[v]
 
 
 def node_curvatures(g: Graph) -> list:
-    """Curvatures of all nodes, indexed by node id."""
-    if g.is_unweighted:
-        # d * (2 - d) - A @ d, with A @ d as integer sums over the CSR rows
-        deg = g.degrees
-        sums = np.concatenate(([0], np.cumsum(deg[g.indices])))
-        return (deg * (2 - deg) - (sums[g.indptr[1:]] - sums[g.indptr[:-1]])).tolist()
-    edge_c = {e: edge_curvature_weighted(g, e) for e in g.edges}
-    out = [0.0] * g.num_nodes
-    for (u, v), c in edge_c.items():
-        out[u] += c
-        out[v] += c
-    return out
+    """Curvatures of all nodes, indexed by node id (one O(E) pass)."""
+    return _node_sums(g, _edge_curvatures(g)).tolist()
 
 
 @dataclass(frozen=True)
@@ -86,27 +98,20 @@ class CurvatureMap:
 
 
 def curvature_map(g: Graph) -> CurvatureMap:
-    """Compute every edge and node curvature of g."""
-    if g.is_unweighted:
-        edge_c = {e: 2 - g.degree(e[0]) - g.degree(e[1]) for e in g.edges}
-    else:
-        edge_c = {e: edge_curvature_weighted(g, e) for e in g.edges}
-    node_c = dict(enumerate(node_curvatures(g)))
-    return CurvatureMap(edge_curvature=edge_c, node_curvature=node_c)
+    """Compute every edge and node curvature of g (one O(E) pass)."""
+    edge_c = _edge_curvatures(g)
+    return CurvatureMap(edge_curvature=dict(zip(g.edges, edge_c.tolist())),
+                        node_curvature=dict(enumerate(_node_sums(g, edge_c).tolist())))
 
 
 def curvature_distribution(g: Graph) -> list[tuple]:
     """Node-curvature histogram as (value, count) pairs, value ascending."""
-    counts: dict = {}
-    for c in node_curvatures(g):
-        counts[c] = counts.get(c, 0) + 1
-    return sorted(counts.items())
+    return sorted(Counter(node_curvatures(g)).items())
 
 
 def write_distribution_csv(distribution, path) -> None:
     """Write a (value, count) histogram as `value,count` lines."""
-    path = Path(path)
-    with path.open("w") as fh:
+    with Path(path).open("w") as fh:
         fh.write("value,count\n")
         for value, count in distribution:
             fh.write(f"{value},{count}\n")

@@ -13,17 +13,18 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._version import __version__
 from .graph import Graph, GraphError, load_graphml, read_edge_list
-from .curvature import curvature_distribution, node_curvatures
+from .curvature import node_curvatures
 from .tessellation import triangular_ring_2d, lift_to_3d
 from .spectral import curvature_laplacian_holds
 from .linegraph import line_graph
 from .sampling import RngHandle, random_walk_sample, delete_edges_randomly
-from .alignment import MODES, align, common_max_degree, ricci_matrix, score_alignment
+from .alignment import MODES, align, cost_matrix, hungarian, ricci_matrix, score_alignment
 
 
 class ExperimentError(RuntimeError):
@@ -135,19 +136,16 @@ def run_torus_experiment() -> TorusReport:
     """
     torus = lift_to_3d(triangular_ring_2d())
     curvatures = node_curvatures(torus)
-    distribution = tuple(tuple(pair) for pair in curvature_distribution(torus))
-    values = sorted({c for c, _ in distribution})
-    sizes = tuple(dict(distribution)[val] for val in values)
+    distribution = tuple(sorted(Counter(curvatures).items()))
+    values, sizes = zip(*distribution)
 
-    m = common_max_degree(torus, torus)
-    rows = ricci_matrix(torus, m).rows
-    labels = ("A", "B", "C")
-    class_of = {val: labels[k] for k, val in enumerate(values)}
+    sig = ricci_matrix(torus, torus.max_degree())
+    class_of = dict(zip(values, "ABC"))
     row_forms = {}
     for v in torus.nodes:
-        row_forms.setdefault(class_of[curvatures[v]], tuple(int(x) for x in rows[v]))
+        row_forms.setdefault(class_of[curvatures[v]], tuple(sig.rows[v].tolist()))
 
-    result = align(torus, torus, mode="ricci")
+    result = hungarian(cost_matrix(sig, sig))
     a_nodes = [v for v in torus.nodes if curvatures[v] == values[0]]
     hits = sum(1 for v in a_nodes if curvatures[result.mapping[v]] == values[0])
     rate = 100.0 * hits / len(a_nodes)

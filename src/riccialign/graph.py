@@ -73,7 +73,8 @@ class Graph:
     Parameters
     ----------
     num_nodes:
-        Node count N; nodes are exactly 0..N-1.
+        Node count N, a Python or numpy integer (not a bool); nodes are
+        exactly 0..N-1.
     edges:
         Iterable of id pairs, or an (E, 2) integer array. Pairs are
         canonicalized and deduplicated; self-loops, out-of-range endpoints
@@ -100,6 +101,8 @@ class Graph:
 
     def __init__(self, num_nodes, edges, node_weights=None, edge_weights=None,
                  original_labels=None):
+        if isinstance(num_nodes, bool) or not isinstance(num_nodes, (int, np.integer)):
+            raise GraphError(f"node count must be an integer, got {num_nodes!r}")
         if num_nodes < 0:
             raise GraphError(f"negative node count {num_nodes}")
         n = self.num_nodes = int(num_nodes)
@@ -205,20 +208,6 @@ class Graph:
             return False
         return True
 
-    def node_weight(self, v: int) -> float:
-        self._require_node(v)
-        if self.node_weights is None:
-            return 1.0
-        return self.node_weights.get(v, 1.0)
-
-    def edge_weight(self, u: int, v: int) -> float:
-        pair = canonical_pair(u, v)
-        if not self.has_edge(*pair):
-            raise GraphError(f"no edge {pair}")
-        if self.edge_weights is None:
-            return 1.0
-        return self.edge_weights.get(pair, 1.0)
-
     # -- structure ---------------------------------------------------------
 
     def _row_slots(self, rows: np.ndarray) -> np.ndarray:
@@ -306,9 +295,6 @@ def from_edge_list(pairs, n: int | None = None) -> Graph:
 
 
 # -- GraphML ingestion (read-only, undirected subset) -----------------------
-
-_GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
-
 
 def _local_name(tag) -> str:
     return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, GraphError
-from .curvature import node_curvature
+from .curvature import node_curvature, node_curvatures
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -24,15 +24,6 @@ def laplacian(g: Graph) -> np.ndarray:
     lap[np.repeat(np.arange(n), g.degrees), g.indices] = -1
     lap[np.arange(n), np.arange(n)] = g.degrees
     return lap
-
-
-def _laplacian_row(g: Graph, i: int) -> np.ndarray:
-    """Row i of L = D - A, built from i's adjacency row alone."""
-    d = g.degree(i)
-    row = np.zeros(g.num_nodes, dtype=np.int64)
-    row[g.indices[g.indptr[i]:g.indptr[i + 1]]] = -1
-    row[i] = d
-    return row
 
 
 def labeled_signature_vector(g: Graph, i: int) -> np.ndarray:
@@ -46,22 +37,29 @@ def labeled_signature_vector(g: Graph, i: int) -> np.ndarray:
     return s
 
 
+def _ls_product(g: Graph, i: int) -> int:
+    """(L s^T)_i from row i of L = D - A alone; the dense L is never built."""
+    row = np.zeros(g.num_nodes, dtype=np.int64)
+    row[g.indices[g.indptr[i]:g.indptr[i + 1]]] = -1
+    row[i] = g.degree(i)
+    return int(row @ labeled_signature_vector(g, i))
+
+
 def curvature_laplacian_residual(g: Graph, i: int) -> int:
     """Ric(v_i) - (L s^T)_i, computed with the actual matrix product.
 
-    Only row i of L enters the product, so the dense N x N Laplacian is never
-    built. For unweighted graphs this equals 2 deg(v_i) (1 - deg(v_i))
-    exactly; weighted graphs are rejected.
+    For unweighted graphs this equals 2 deg(v_i) (1 - deg(v_i)) exactly;
+    weighted graphs are rejected.
     """
     if not g.is_unweighted:
         raise GraphError("the curvature-Laplacian identity only holds unweighted")
-    s = labeled_signature_vector(g, i)
-    return int(node_curvature(g, i) - _laplacian_row(g, i) @ s)
+    return node_curvature(g, i) - _ls_product(g, i)
 
 
 def curvature_laplacian_holds(g: Graph) -> bool:
     """Check the identity at every node of an unweighted graph."""
     if not g.is_unweighted:
         raise GraphError("the curvature-Laplacian identity only holds unweighted")
-    return all(curvature_laplacian_residual(g, i) == 2 * d * (1 - d)
+    ric = node_curvatures(g)
+    return all(ric[i] - _ls_product(g, i) == 2 * d * (1 - d)
                for i, d in enumerate(g.degrees.tolist()))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from riccialign import Graph, lift_to_3d, triangular_ring_2d
+from riccialign import Graph, RngHandle, experiments, lift_to_3d, triangular_ring_2d
 
 # Worked example used across the suite: hub node 0 has neighbors of degree
 # 1, 4, and 5 whose node curvatures come out to -2, -20, and -27.
@@ -32,12 +32,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def random_connected_graph(n: int, seed: int, extra: float = 0.2) -> Graph:
-    """Seeded connected graph: random recursive tree plus extra edges."""
-    rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    edges += [(u, v) for u in range(n) for v in range(u + 1, n)
-              if rng.random() < extra]
-    return Graph(n, edges)
+    """The package's seeded connected graph, keyed by an integer seed."""
+    return experiments.random_connected_graph(n, RngHandle(seed), extra)
 
 
 def write_graphml(g: Graph, path, edgedefault: str = "undirected") -> None:

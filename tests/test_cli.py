@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from riccialign import Graph, align, alignment_cost, from_edge_list, hungarian, 
     write_edge_list
 from riccialign.alignment import MODES
 from riccialign.cli import main, read_config_file
+from riccialign.experiments import ExperimentConfig
 
 from conftest import preferential_attachment_graph, write_graphml
 
@@ -103,6 +105,20 @@ def test_ppi_command_config_file_with_flag_override(capsys, tmp_path, tiny_graph
     lines = out.read_text().splitlines()
     assert lines[0] == "round,correct,percentage"
     assert len(lines) == 3  # flags override the config file's 5 rounds
+
+
+def test_ppi_help_names_config_defaults(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a help string
+    with pytest.raises(SystemExit):
+        main(["ppi", "--help"])
+    out = capsys.readouterr().out
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    flags = {"--rounds": "rounds", "--p": "deletion_probability",
+             "--size": "subgraph_size", "--intermediate": "intermediate_sample_size",
+             "--seed": "seed", "--mode": "mode"}
+    for flag, field in flags.items():
+        entry = out.split(f"\n  {flag} ", 1)[1].split("\n  --", 1)[0]
+        assert f"(default {defaults[field]})" in entry
 
 
 def test_ppi_command_requires_input():

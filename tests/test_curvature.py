@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -139,3 +140,29 @@ def test_distribution_csv(tmp_path):
     path = tmp_path / "hist.csv"
     write_distribution_csv(curvature_distribution(from_edge_list(P3)), path)
     assert path.read_text() == "value,count\n-2,1\n-1,2\n"
+
+
+def _weighted_graph(seed):
+    """Seeded random graph with random positive node and edge weights."""
+    rng = random.Random(seed)
+    g = random_graph(14, 0.3, seed)
+    node_w = {v: rng.uniform(0.2, 5.0) for v in g.nodes}
+    edge_w = {e: rng.uniform(0.2, 5.0) for e in g.edges}
+    return Graph(g.num_nodes, g.edges, node_weights=node_w, edge_weights=edge_w)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weighted_node_curvature_is_incident_edge_sum(seed):
+    g = _weighted_graph(seed)
+    assert not g.is_unweighted
+    expected = [sum(_substituted_curvature(g.edge_weights, g.node_weights, e)
+                    for e in g.edges if v in e) for v in g.nodes]
+    cm = curvature_map(g)
+    all_nodes = node_curvatures(g)
+    for v in g.nodes:
+        want = pytest.approx(expected[v], rel=1e-12)
+        assert node_curvature(g, v) == want
+        assert all_nodes[v] == want
+        assert cm.node_curvature[v] == want
+    assert sum(cm.node_curvature.values()) == pytest.approx(
+        2 * sum(cm.edge_curvature.values()), rel=1e-12)

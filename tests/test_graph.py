@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from riccialign import (
@@ -64,6 +65,19 @@ def test_edge_endpoint_out_of_range():
 def test_malformed_edges_raise_graph_error(edges):
     with pytest.raises(GraphError):
         Graph(3, edges)
+
+
+@pytest.mark.parametrize("num_nodes", [-1, 2.5, True, "3", None],
+                         ids=["negative", "float", "bool", "string", "none"])
+def test_bad_node_count_raises_graph_error(num_nodes):
+    with pytest.raises(GraphError):
+        Graph(num_nodes, [])
+
+
+def test_numpy_integer_node_count():
+    g = Graph(np.int32(3), [(0, 1)])
+    assert g.num_nodes == 3
+    assert type(g.num_nodes) is int
 
 
 def test_degree_and_neighbors():
@@ -222,6 +236,20 @@ def test_load_graphml_unknown_endpoint(tmp_path):
     path = tmp_path / "dangling.graphml"
     path.write_text(MINIMAL_GRAPHML.replace('target="beta"', 'target="gamma"'))
     with pytest.raises(GraphMLError):
+        load_graphml(path)
+
+
+def test_load_graphml_node_without_id(tmp_path):
+    path = tmp_path / "anonymous.graphml"
+    path.write_text(MINIMAL_GRAPHML.replace('<node id="beta"/>', '<node/>'))
+    with pytest.raises(GraphMLError, match="without id"):
+        load_graphml(path)
+
+
+def test_load_graphml_edge_without_endpoint(tmp_path):
+    path = tmp_path / "loose.graphml"
+    path.write_text(MINIMAL_GRAPHML.replace(' target="beta"', ''))
+    with pytest.raises(GraphMLError, match="without source/target"):
         load_graphml(path)
 
 
