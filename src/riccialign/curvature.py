@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, GraphError, canonical_pair
+from .graph import Graph, GraphError
 
 
 def _edge_curvatures(g: Graph) -> np.ndarray:
@@ -39,9 +39,8 @@ def _edge_curvatures(g: Graph) -> np.ndarray:
     w_node, w_edge = np.ones(n), np.ones(len(ends))
     if g.node_weights:
         w_node[list(g.node_weights)] = list(g.node_weights.values())
-    if g.edge_weights:  # edge_array is sorted by the row-major key u * N + v
-        keys = np.array(list(g.edge_weights), dtype=np.int64) @ (n, 1)
-        w_edge[np.searchsorted(ends @ (n, 1), keys)] = list(g.edge_weights.values())
+    if g.edge_weights:
+        w_edge[g.edge_rows(g.edge_weights.keys())] = list(g.edge_weights.values())
     s = np.bincount(ends.ravel(), np.repeat(1 / np.sqrt(w_edge), 2), minlength=n)
     return w_node[u] + w_node[v] - np.sqrt(w_edge) * (w_node[u] * s[u] + w_node[v] * s[v])
 
@@ -53,20 +52,12 @@ def _node_sums(g: Graph, edge_c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_slot(g: Graph, e) -> int:
-    """Row of edge e in ``g.edge_array``; GraphError if g has no such edge."""
-    u, v = canonical_pair(*e)
-    if not g.has_edge(u, v):
-        raise GraphError(f"no edge {(u, v)}")
-    return int(np.searchsorted(g.edge_array @ (g.num_nodes, 1), u * g.num_nodes + v))
-
-
 def edge_curvature_unweighted(g: Graph, e) -> int:
     """Curvature 2 - deg(v1) - deg(v2) of an existing edge (one O(E) pass)."""
-    slot = _edge_slot(g, e)
+    (row,) = g.edge_rows([e])
     if not g.is_unweighted:
         raise GraphError("graph has non-unit weights; use edge_curvature_weighted")
-    return int(_edge_curvatures(g)[slot])
+    return int(_edge_curvatures(g)[row])
 
 
 def edge_curvature_weighted(g: Graph, e) -> float:
@@ -75,12 +66,13 @@ def edge_curvature_weighted(g: Graph, e) -> float:
     Requires strictly positive weights (enforced at graph construction).
     Equals edge_curvature_unweighted when every weight is 1.
     """
-    return float(_edge_curvatures(g)[_edge_slot(g, e)])
+    (row,) = g.edge_rows([e])
+    return float(_edge_curvatures(g)[row])
 
 
 def node_curvature(g: Graph, v: int):
     """Sum of v's incident-edge curvatures (one O(E) pass); int when unweighted."""
-    g.degree(v)  # GraphError for an unknown node id
+    (v,) = g.node_ids([v])
     return node_curvatures(g)[v]
 
 

@@ -14,11 +14,11 @@ import json
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ._version import __version__
-from .graph import Graph, GraphError, load_graphml, read_edge_list
+from .graph import Graph, GraphError, _integers, load_graphml, read_edge_list
 from .curvature import node_curvatures
 from .tessellation import triangular_ring_2d, lift_to_3d
 from .spectral import curvature_laplacian_holds
@@ -44,6 +44,8 @@ class ExperimentConfig:
     mode: str = "rmc"
 
     def __post_init__(self):
+        _integers([self.intermediate_sample_size, self.subgraph_size, self.rounds,
+                   self.seed], (4,))
         if self.subgraph_size > self.intermediate_sample_size:
             raise GraphError("subgraph_size must not exceed intermediate_sample_size")
         if self.subgraph_size <= 0:
@@ -75,15 +77,7 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "input_path": str(self.config.input_path),
-                "intermediate_sample_size": self.config.intermediate_sample_size,
-                "subgraph_size": self.config.subgraph_size,
-                "deletion_probability": self.config.deletion_probability,
-                "rounds": self.config.rounds,
-                "seed": self.config.seed,
-                "mode": self.config.mode,
-            },
+            "config": {**asdict(self.config), "input_path": str(self.config.input_path)},
             "version": self.version,
             "rounds": [
                 {"round": r.round_index, "correct": r.correct,

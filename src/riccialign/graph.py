@@ -13,6 +13,7 @@ and a fixed edge order keeps every downstream matrix row order reproducible.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,41 +31,33 @@ class DirectedGraphError(GraphMLError):
     """The GraphML document declares directed edges."""
 
 
-def canonical_pair(u: int, v: int) -> tuple[int, int]:
-    """Return the (min, max) form of an edge; self-loops are rejected."""
-    if u == v:
-        raise GraphError(f"self-loop at node {u}")
-    return (u, v) if u < v else (v, u)
+def _integers(values, shape: tuple) -> np.ndarray:
+    """`values` as an int64 array of the given shape (-1: any length).
 
-
-def _edge_rows(edges) -> np.ndarray:
-    """Edges as an (E, 2) integer array; malformed pairs raise GraphError.
-
-    Every edge must be a pair of integer ids: numpy integers and Python ints
-    are accepted, bools, floats, strings and other arities are not.
+    Python and numpy integers are accepted. Bools, floats, strings, None,
+    ragged nesting and any other shape raise GraphError.
     """
-    pairs = None
-    if isinstance(edges, np.ndarray):
-        arr = edges
-    else:
-        pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int64)
+    arr = values
+    if not isinstance(values, np.ndarray):
         try:
-            arr = np.array(pairs)
+            if shape and not isinstance(values, (list, tuple)):
+                values = list(values)  # sets, ranges, dict views, generators
+            arr = np.array(values)
         except (ValueError, TypeError) as exc:
-            raise GraphError(f"edges must be pairs of node ids: {exc}") from exc
-    if arr.size == 0 and arr.ndim < 2:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError(f"edges must be pairs of node ids, got shape {arr.shape}")
+            raise GraphError(f"expected integers: {exc}") from exc
+        # numpy reads a bool next to an integer as 0 or 1, so look for them here
+        leaves = [values]
+        for _ in range(arr.ndim):
+            leaves = chain.from_iterable(leaves)
+        if arr.dtype.kind in "iu" and not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+            raise GraphError("expected integers, not bools")
+    if arr.shape == (0,):  # an empty sequence, whose dtype numpy cannot know
+        arr = np.empty((0,) + shape[1:], dtype=np.int64)
+    if arr.ndim != len(shape) or any(k not in (-1, m) for k, m in zip(shape, arr.shape)):
+        raise GraphError(f"expected integers of shape {shape}, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
-        raise GraphError(f"edge endpoints must be integers, got dtype {arr.dtype}")
-    # numpy turns a bool next to an int into 0 or 1, so look for them here
-    if pairs is not None and any(isinstance(x, (bool, np.bool_))
-                                 for pair in pairs for x in pair):
-        raise GraphError("edge endpoints must be integers, not bools")
-    return arr
+        raise GraphError(f"expected integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 class Graph:
@@ -101,23 +94,17 @@ class Graph:
 
     def __init__(self, num_nodes, edges, node_weights=None, edge_weights=None,
                  original_labels=None):
-        if isinstance(num_nodes, bool) or not isinstance(num_nodes, (int, np.integer)):
-            raise GraphError(f"node count must be an integer, got {num_nodes!r}")
-        if num_nodes < 0:
-            raise GraphError(f"negative node count {num_nodes}")
-        n = self.num_nodes = int(num_nodes)
+        n = self.num_nodes = int(_integers(num_nodes, ()))
+        if n < 0:
+            raise GraphError(f"negative node count {n}")
 
-        arr = _edge_rows(edges)
+        arr = _integers(edges, (-1, 2))
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
         loops = lo == hi
         if loops.any():
             raise GraphError(f"self-loop at node {lo[loops.argmax()]}")
-        bad = (lo < 0) | (hi >= n)
-        if bad.any():
-            pair = (int(lo[bad.argmax()]), int(hi[bad.argmax()]))
-            raise GraphError(f"edge {pair} has an endpoint outside 0..{n - 1}")
-        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+        self.node_ids(arr.ravel())
 
         # both directions as row-major keys row * N + col; one sort gives the
         # CSR order, and dropping repeats removes duplicate edges
@@ -135,18 +122,15 @@ class Graph:
         self._edges = None
 
         if node_weights is not None:
-            node_weights = {int(v): float(w) for v, w in node_weights.items()}
-            for v, w in node_weights.items():
-                self._require_node(v)
-                if w <= 0:
-                    raise GraphError(f"nonpositive weight {w} on node {v}")
+            ids = self.node_ids(node_weights.keys()).tolist()
+            node_weights = dict(zip(ids, map(float, node_weights.values())))
         if edge_weights is not None:
-            edge_weights = {canonical_pair(*e): float(w) for e, w in edge_weights.items()}
-            for e, w in edge_weights.items():
-                if not self.has_edge(*e):
-                    raise GraphError(f"weight given for missing edge {e}")
-                if w <= 0:
-                    raise GraphError(f"nonpositive weight {w} on edge {e}")
+            # stored under the canonical (min, max) pair
+            pairs = map(tuple, self.edge_array[self.edge_rows(edge_weights.keys())].tolist())
+            edge_weights = dict(zip(pairs, map(float, edge_weights.values())))
+        for key, w in [*(node_weights or {}).items(), *(edge_weights or {}).items()]:
+            if w <= 0:
+                raise GraphError(f"nonpositive weight {w} at {key}")
         self.node_weights = node_weights
         self.edge_weights = edge_weights
         self.original_labels = dict(original_labels) if original_labels else None
@@ -173,21 +157,50 @@ class Graph:
         """Degree of every node, indexed by node id."""
         return np.diff(self.indptr)
 
-    def _require_node(self, v: int) -> None:
-        if not (0 <= v < self.num_nodes):
-            raise GraphError(f"unknown node id {v} (graph has {self.num_nodes} nodes)")
+    def node_ids(self, values) -> np.ndarray:
+        """A sequence of node ids as an int64 array.
+
+        Every entry must be an integer (not a bool) in 0..N-1; anything else
+        raises GraphError.
+        """
+        ids = _integers(values, (-1,))
+        if ids.size and not (ids.min() >= 0 and ids.max() < self.num_nodes):
+            bad = ids.min() if ids.min() < 0 else ids.max()
+            raise GraphError(f"unknown node id {bad} (graph has {self.num_nodes} nodes)")
+        return ids
+
+    def edge_rows(self, pairs) -> np.ndarray:
+        """Row in ``edge_array`` of each (u, v) pair, given in either orientation.
+
+        A pair that is not an edge (a self-pair included) or not a pair of
+        node ids raises GraphError.
+        """
+        pairs = _integers(pairs, (-1, 2))
+        self.node_ids(pairs.ravel())  # an out-of-range id could alias another key
+        # edge_array is sorted by the row-major key u * N + v of its rows
+        n = self.num_nodes
+        keys = self.edge_array[:, 0] * n + self.edge_array[:, 1]
+        u, v = pairs.T
+        wanted = np.minimum(u, v) * n + np.maximum(u, v)
+        rows = np.searchsorted(keys, wanted)
+        found = np.append(keys, -1)[rows] == wanted  # rows == E: past the last key
+        if not found.all():
+            raise GraphError(f"no edge {tuple(pairs[found.argmin()].tolist())}")
+        return rows
 
     def degree(self, v: int) -> int:
         """Number of incident edges of v."""
-        self._require_node(v)
+        (v,) = self.node_ids([v])
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Adjacent node ids in ascending order."""
-        self._require_node(v)
+        (v,) = self.node_ids([v])
         return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
+        """True iff u and v are adjacent; False for integers outside 0..N-1."""
+        u, v = _integers([u, v], (2,)).tolist()
         if u == v or not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             return False
         lo, hi = self.indptr[u], self.indptr[u + 1]
@@ -237,10 +250,9 @@ class Graph:
         original_labels entry records the parent label (or the parent id when
         the parent graph is unlabeled).
         """
-        keep = sorted(set(keep))
-        for v in keep:
-            self._require_node(v)
-        kept = np.array(keep, dtype=np.int64)
+        kept = np.sort(self.node_ids(keep))
+        kept = kept[np.diff(kept, prepend=-1) != 0]
+        keep = kept.tolist()
         new_id = np.full(self.num_nodes, -1, dtype=np.int64)
         new_id[kept] = np.arange(len(kept))
         # only the kept nodes' rows are read, not every parent edge
@@ -285,7 +297,7 @@ def from_edge_list(pairs, n: int | None = None) -> Graph:
 
     Passing `n` larger than any referenced id adds isolated nodes.
     """
-    pairs = _edge_rows(pairs)
+    pairs = _integers(pairs, (-1, 2))
     max_ref = int(pairs.max()) if pairs.size else -1
     if n is None:
         n = max_ref + 1

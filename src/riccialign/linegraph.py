@@ -33,12 +33,9 @@ def line_graph(g: Graph) -> LineGraphResult:
     """
     if g.num_edges == 0:
         raise GraphError("line graph of an edgeless graph is undefined here")
-    n = g.num_nodes
     # edge id of every CSR slot; along a row the ids ascend with the neighbor
-    rows = np.repeat(np.arange(n), g.degrees)
-    edge_keys = g.edge_array[:, 0] * n + g.edge_array[:, 1]
-    slot_keys = np.minimum(rows, g.indices) * n + np.maximum(rows, g.indices)
-    slot_edge = np.searchsorted(edge_keys, slot_keys)
+    rows = np.repeat(np.arange(g.num_nodes), g.degrees)
+    slot_edge = g.edge_rows(np.column_stack((rows, g.indices)))
 
     # clique pairs per node: slot s pairs with every later slot of its row
     later = g.indptr[rows + 1] - 1 - np.arange(len(rows))

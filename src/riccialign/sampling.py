@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _integers
 
 
 class RngHandle:
@@ -52,7 +52,7 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle,
     rule). The counter resets on progress and on jumps. If every node is
     already collected the walk stops early with what it has.
     """
-    if size <= 0:
+    if _integers(size, ()) <= 0:
         raise GraphError(f"sample size must be positive, got {size}")
     if size > g.num_nodes:
         raise GraphError(f"sample size {size} exceeds graph size {g.num_nodes}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, GraphError, canonical_pair
+from .graph import Graph, GraphError
 
 # Hexagonal ring of triangles: inner hexagon 0..5, outer ring 6..17
 # (ids are the manual construction's 1..18 shifted down by one).
@@ -123,7 +123,7 @@ def triangulate_prisms(g: Graph, prisms) -> Graph:
     diagonal that already exists (a shared face triangulated twice the same
     way) is simply not duplicated.
     """
-    new_edges = set(g.edges)
+    new_edges = list(g.edges)
     for bottom, top in prisms:
         bottom, top = tuple(bottom), tuple(top)
         if len(bottom) != 3 or len(top) != 3:
@@ -137,9 +137,8 @@ def triangulate_prisms(g: Graph, prisms) -> Graph:
                 raise GraphError(
                     f"prism faces {bottom}/{top} do not correspond: "
                     f"no vertical edge ({bottom[i]}, {top[i]})")
-        for i in range(3):
-            new_edges.add(canonical_pair(bottom[i], top[(i + 1) % 3]))
-    return Graph(g.num_nodes, sorted(new_edges), node_weights=g.node_weights,
+        new_edges += [(bottom[i], top[(i + 1) % 3]) for i in range(3)]
+    return Graph(g.num_nodes, new_edges, node_weights=g.node_weights,
                  edge_weights=g.edge_weights, original_labels=g.original_labels)
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,23 @@ def test_config_validation(tmp_path):
         ExperimentConfig(input_path="x", rounds=0)
     with pytest.raises(GraphError):
         ExperimentConfig(input_path="x", mode="fancy")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_walk_sample(random_connected_graph(10, RngHandle(0)), 2.5, RngHandle(0)),
+    lambda: random_walk_sample(random_connected_graph(10, RngHandle(0)), True, RngHandle(0)),
+    lambda: ExperimentConfig(input_path="x", intermediate_sample_size=1000.0),
+    lambda: ExperimentConfig(input_path="x", subgraph_size=True),
+    lambda: ExperimentConfig(input_path="x", subgraph_size=250.5),
+    lambda: ExperimentConfig(input_path="x", rounds=2.5),
+    lambda: ExperimentConfig(input_path="x", rounds="2"),
+    lambda: ExperimentConfig(input_path="x", seed=1.5),
+    lambda: ExperimentConfig(input_path="x", seed=True),
+], ids=["walk-size-float", "walk-size-bool", "intermediate-float", "subgraph-bool",
+        "subgraph-float", "rounds-float", "rounds-string", "seed-float", "seed-bool"])
+def test_sizes_counts_and_seeds_must_be_integers(make):
+    with pytest.raises(GraphError):
+        make()
 
 
 def _small_config(path, **overrides) -> ExperimentConfig:
@@ -180,3 +198,19 @@ def test_emit_report_formats(tmp_path):
 
     with pytest.raises(ValueError):
         emit_report(report, tmp_path / "r.xml", fmt="xml")
+
+
+def test_report_echoes_the_whole_config():
+    cfg = ExperimentConfig(input_path=Path("nets") / "ppi.graphml",
+                           intermediate_sample_size=800, subgraph_size=400,
+                           deletion_probability=0.02, rounds=4, seed=9, mode="dmc")
+    report = ExperimentReport(per_round=(), mean_percentage=0.0, config=cfg)
+    assert list(report.to_dict()["config"].items()) == [
+        ("input_path", str(Path("nets") / "ppi.graphml")),
+        ("intermediate_sample_size", 800),
+        ("subgraph_size", 400),
+        ("deletion_probability", 0.02),
+        ("rounds", 4),
+        ("seed", 9),
+        ("mode", "dmc"),
+    ]

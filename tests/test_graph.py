@@ -6,8 +6,12 @@ from riccialign import (
     Graph,
     GraphError,
     GraphMLError,
+    curvature_laplacian_residual,
+    edge_curvature_unweighted,
     from_edge_list,
+    labeled_signature_vector,
     load_graphml,
+    node_curvature,
     read_edge_list,
     write_edge_list,
 )
@@ -97,6 +101,51 @@ def test_isolated_node_degree():
     assert g.neighbors(2) == ()
 
 
+def _path3():
+    return Graph(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Graph(3, [(0, 1), (1, 2)], node_weights={1.7: 2.0}),
+    lambda: _path3().induced_subgraph([1.7]),
+    lambda: _path3().induced_subgraph([True, 2]),
+    lambda: Graph(3, [(0, 1), (1, 2)], edge_weights={(0.0, 1): 2.0}),
+    lambda: Graph(3, [(0, 1), (1, 2)], edge_weights={(True, 2): 2.0}),
+    lambda: _path3().degree(1.5),
+    lambda: _path3().degree(True),
+    lambda: _path3().neighbors(1.0),
+    lambda: _path3().has_edge(0.0, 1),
+    lambda: node_curvature(_path3(), 1.5),
+    lambda: edge_curvature_unweighted(_path3(), (0.0, 1)),
+    lambda: labeled_signature_vector(_path3(), 1.0),
+    lambda: curvature_laplacian_residual(_path3(), True),
+], ids=["node-weight-float", "subgraph-float", "subgraph-bool", "edge-weight-float",
+        "edge-weight-bool", "degree-float", "degree-bool", "neighbors-float",
+        "has-edge-float", "node-curvature-float", "edge-curvature-float",
+        "signature-float", "residual-bool"])
+def test_non_integer_node_id_raises_graph_error(call):
+    with pytest.raises(GraphError):
+        call()
+
+
+def test_node_ids():
+    g = _path3()
+    ids = g.node_ids(np.array([2, 0], dtype=np.int32))
+    assert ids.dtype == np.int64 and ids.tolist() == [2, 0]
+    assert g.node_ids(range(3)).tolist() == [0, 1, 2]
+    assert g.node_ids([]).tolist() == []
+    for bad in ([3], [-1], [[0, 1]], [0, "1"], [None]):
+        with pytest.raises(GraphError):
+            g.node_ids(bad)
+
+
+def test_has_edge_out_of_range_is_false():
+    g = _path3()
+    assert not g.has_edge(0, 3)
+    assert not g.has_edge(-1, 0)
+    assert not g.has_edge(1, 1)
+
+
 def test_is_connected():
     assert from_edge_list([(0, 1), (1, 2)]).is_connected()
     assert not from_edge_list([(0, 1), (2, 3)]).is_connected()
@@ -158,6 +207,16 @@ def test_induced_subgraph_chains_parent_labels():
     g = Graph(3, [(0, 1), (1, 2)], original_labels={0: "a", 1: "b", 2: "c"})
     sub = g.induced_subgraph({1, 2})
     assert sub.original_labels == {0: "b", 1: "c"}
+
+
+def test_induced_subgraph_carries_weights():
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+              node_weights={0: 2.0, 1: 7.0, 2: 3.0, 4: 5.0},
+              edge_weights={(0, 1): 1.5, (2, 3): 2.5, (4, 0): 4.0, (3, 4): 6.0})
+    sub = g.induced_subgraph([4, 0, 2, 3])  # parent ids 0, 2, 3, 4 become 0..3
+    assert sub.edges == ((0, 3), (1, 2), (2, 3))
+    assert sub.node_weights == {0: 2.0, 1: 3.0, 3: 5.0}
+    assert sub.edge_weights == {(0, 3): 4.0, (1, 2): 2.5, (2, 3): 6.0}
 
 
 def test_weights_must_be_positive():

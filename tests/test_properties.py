@@ -6,11 +6,13 @@ sampling functions must make the same draws.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccialign import (
     Graph,
+    GraphError,
     RngHandle,
     curvature_laplacian_residual,
     degree_matrix,
@@ -102,6 +104,23 @@ def test_accessors_match_reference(data):
         for w in range(n):
             assert g.has_edge(v, w) == ((min(v, w), max(v, w)) in edge_set)
     assert g.max_degree() == max(ref.degree(v) for v in range(n))
+
+
+@property_test
+@given(edge_lists())
+def test_edge_rows_match_reference(data):
+    n, pairs = data
+    g, ref = Graph(n, pairs), Reference(n, pairs)
+    for i, (u, v) in enumerate(ref.edges):
+        assert g.edge_rows([(u, v), (v, u)]).tolist() == [i, i]
+    flipped = np.array(ref.edges, dtype=np.int32).reshape(-1, 2)[:, ::-1]
+    assert g.edge_rows(flipped).tolist() == list(range(len(ref.edges)))
+    edge_set = set(ref.edges)
+    for u in range(n):
+        for v in range(n):
+            if (min(u, v), max(u, v)) not in edge_set:  # self-pairs included
+                with pytest.raises(GraphError):
+                    g.edge_rows([(u, v)])
 
 
 @property_test
