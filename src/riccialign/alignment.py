@@ -122,11 +122,15 @@ def cost_matrix(m1: SignatureMatrix, m2: SignatureMatrix) -> np.ndarray:
 def hungarian(cost) -> Assignment:
     """Exact minimum-cost perfect assignment on a square cost matrix.
 
-    Shortest-augmenting-path implementation (the O(n^3) potential form of
-    the Hungarian method). Rows are processed in ascending order and column
-    ties resolve to the lowest index, so the result is deterministic.
-    Requires finite nonnegative entries.
+    Solved by scipy's `linear_sum_assignment`, a shortest-augmenting-path
+    method (Crouse, IEEE TAES 2016). It is deterministic for a given
+    matrix; which of several equal-cost optima it returns is scipy's
+    choice. Requires finite nonnegative entries. `total_cost` adds the
+    chosen entries one after another in ascending column order.
     """
+    # imported here: scipy.optimize more than triples `import riccialign`
+    from scipy.optimize import linear_sum_assignment
+
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise GraphError(f"cost matrix must be square, got shape {c.shape}")
@@ -136,42 +140,10 @@ def hungarian(cost) -> Assignment:
         raise GraphError("cost matrix contains negative entries")
 
     n = c.shape[0]
-    u = np.zeros(n, dtype=np.float64)       # row potentials
-    v = np.zeros(n + 1, dtype=np.float64)   # column potentials, last is virtual
-    col_row = np.full(n + 1, -1, dtype=np.int64)  # matched row per column
-
-    for i in range(n):
-        col_row[n] = i
-        j0 = n
-        minv = np.full(n, np.inf)
-        way = np.full(n, n, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = col_row[j0]
-            free = ~used[:n]
-            reduced = c[i0] - u[i0] - v[:n]
-            better = free & (reduced < minv)
-            minv = np.where(better, reduced, minv)
-            way = np.where(better, j0, way)
-            candidates = np.where(free, minv, np.inf)
-            j1 = int(np.argmin(candidates))
-            delta = candidates[j1]
-            used_cols = np.flatnonzero(used)
-            u[col_row[used_cols]] += delta
-            v[used_cols] -= delta
-            minv = np.where(free, minv - delta, minv)
-            j0 = j1
-            if col_row[j0] == -1:
-                break
-        while j0 != n:
-            j1 = int(way[j0])
-            col_row[j0] = col_row[j1]
-            j0 = j1
-
-    mapping = {int(col_row[j]): j for j in range(n)}
-    total = float(sum(c[r, j] for r, j in mapping.items()))
-    return Assignment(mapping=mapping, total_cost=total)
+    _, cols = linear_sum_assignment(c)  # rows come back as 0..n-1
+    row_of_col = np.argsort(cols)
+    total = float(np.cumsum(c[row_of_col, np.arange(n)])[-1]) if n else 0.0
+    return Assignment(mapping=dict(zip(row_of_col.tolist(), range(n))), total_cost=total)
 
 
 def alignment_cost(g1: Graph, g2: Graph, mode: str) -> np.ndarray:

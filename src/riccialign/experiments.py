@@ -44,8 +44,11 @@ class ExperimentConfig:
     mode: str = "rmc"
 
     def __post_init__(self):
-        _integers([self.intermediate_sample_size, self.subgraph_size, self.rounds,
-                   self.seed], (4,))
+        for name in ("intermediate_sample_size", "subgraph_size", "rounds", "seed"):
+            try:
+                _integers(getattr(self, name), ())
+            except GraphError as exc:
+                raise GraphError(f"{name}: {exc}") from None
         if self.subgraph_size > self.intermediate_sample_size:
             raise GraphError("subgraph_size must not exceed intermediate_sample_size")
         if self.subgraph_size <= 0:

@@ -299,9 +299,8 @@ def from_edge_list(pairs, n: int | None = None) -> Graph:
     """
     pairs = _integers(pairs, (-1, 2))
     max_ref = int(pairs.max()) if pairs.size else -1
-    if n is None:
-        n = max_ref + 1
-    elif n < max_ref + 1:
+    n = max_ref + 1 if n is None else int(_integers(n, ()))
+    if n < max_ref + 1:
         raise GraphError(f"n={n} is smaller than max referenced id {max_ref}")
     return Graph(n, pairs)
 

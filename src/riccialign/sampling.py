@@ -17,17 +17,20 @@ from .graph import Graph, GraphError, _integers
 class RngHandle:
     """Seeded random generator; the same seed replays the same draws.
 
+    Seeds and offsets are Python or numpy integers; anything else, bools
+    included, raises GraphError.
+
     A handle is stateful and must not be shared across threads; derive
     independent handles instead.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = int(_integers(seed, ()))
         self.generator = random.Random(self.seed)
 
     def derive(self, offset: int) -> "RngHandle":
         """Fresh handle with seed + offset, e.g. one per experiment round."""
-        return RngHandle(self.seed + int(offset))
+        return RngHandle(self.seed + int(_integers(offset, ())))
 
     def choice(self, seq):
         return self.generator.choice(seq)
@@ -56,6 +59,8 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle,
         raise GraphError(f"sample size must be positive, got {size}")
     if size > g.num_nodes:
         raise GraphError(f"sample size {size} exceeds graph size {g.num_nodes}")
+    if _integers(max_iter, ()) <= 0:
+        raise GraphError(f"max_iter must be positive, got {max_iter}")
 
     all_nodes = g.nodes
     indptr, indices = g.indptr, g.indices

@@ -141,9 +141,8 @@ def test_ppi_reproduction(ppi_graphml):
 
 def test_perturbation_sanity(ppi_graphml):
     with criterion("zero-deletion identity and deletion-rate expectation"):
-        # p = 0: G2 equals G1, the signature matrices coincide, and the
-        # deterministic solver fixes every node (ties between duplicate rows
-        # resolve to the lowest index, i.e. the identity)
+        # p = 0: G2 equals G1, the signature matrices coincide, and on these
+        # rounds the solver picks the identity among the zero-cost optima
         cfg = ExperimentConfig(input_path=str(ppi_graphml),
                                intermediate_sample_size=1000, subgraph_size=500,
                                deletion_probability=0.0, rounds=3, seed=0,
@@ -175,6 +174,24 @@ def test_perturbation_sanity(ppi_graphml):
             out = delete_edges_randomly(ring, 0.01, master.derive(k))
             removed += 100 - out.num_edges
         assert 0.5 <= removed / trials <= 1.5
+
+
+def test_zero_deletion_maps_onto_equal_rows(ppi_graphml):
+    with criterion("p=0 optimum pairs only equal Ricci rows (any exact solver)"):
+        # the same three rounds as test_perturbation_sanity's p = 0 run; a
+        # cost of 0 means equal rows, so this holds whichever optimum is found
+        intermediate = random_walk_sample(load_graphml(ppi_graphml), 1000, RngHandle(0))
+        universe = line_graph(intermediate).graph
+        for r in (1, 2, 3):
+            rng = RngHandle(0 + r)
+            g1 = random_walk_sample(universe, 500, rng)
+            g2 = delete_edges_randomly(g1, 0.0, rng)
+            m = common_max_degree(g1, g2)
+            m1, m2 = ricci_matrix(g1, m), ricci_matrix(g2, m)
+            solved = hungarian(cost_matrix(m1, m2))
+            src, dst = zip(*solved.mapping.items())
+            assert (m1.rows[list(src)] == m2.rows[list(dst)]).all()
+            assert solved.total_cost == 0.0
 
 
 def score_alignment_percentage(assignment) -> float:

@@ -4,6 +4,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccialign import (
     Graph,
@@ -180,6 +182,33 @@ def test_hungarian_small_cases():
     assert diag.total_cost == 2.0
 
 
+def test_hungarian_empty_and_single_entry():
+    empty = hungarian(np.zeros((0, 0)))
+    assert empty.mapping == {}
+    assert empty.total_cost == 0.0
+    single = hungarian([[2.5]])
+    assert single.mapping == {0: 0}
+    assert single.total_cost == 2.5
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.permutations(range(n)))))
+def test_hungarian_total_ignores_column_order(data):
+    # small integer entries keep every sum exact, so totals compare with ==
+    rows, perm = data
+    c = np.array(rows, dtype=np.float64)
+    expected = hungarian(c).total_cost
+    moved = hungarian(c[:, perm])
+    assert moved.total_cost == expected
+    # column k of the permuted matrix is column perm[k] of c; ties may pick
+    # another optimum, so the mapping carried back must be one, not the same
+    back = {v: perm[k] for v, k in moved.mapping.items()}
+    assert sorted(back.values()) == list(range(len(perm)))
+    assert sum(c[v, w] for v, w in back.items()) == expected
+
+
 def test_hungarian_matches_permutation_oracle():
     rng = random.Random(99)
     for trial in range(30):
@@ -212,6 +241,8 @@ def test_hungarian_validates_input():
         hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))
     with pytest.raises(GraphError):
         hungarian(np.array([[-1.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(GraphError):
+        hungarian(np.array([[np.nan, 1.0], [1.0, 0.0]]))
 
 
 def test_align_identical_graphs_costs_nothing(lifted_torus):

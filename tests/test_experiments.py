@@ -87,6 +87,13 @@ def test_sizes_counts_and_seeds_must_be_integers(make):
         make()
 
 
+@pytest.mark.parametrize("name", ["intermediate_sample_size", "subgraph_size", "rounds",
+                                  "seed"])
+def test_integer_errors_name_the_field(name):
+    with pytest.raises(GraphError, match=name):
+        ExperimentConfig(input_path="x", **{name: 2.5})
+
+
 def _small_config(path, **overrides) -> ExperimentConfig:
     defaults = dict(input_path=str(path), intermediate_sample_size=120,
                     subgraph_size=60, deletion_probability=0.01,

@@ -12,7 +12,7 @@ from riccialign import ExperimentConfig, run_ppi_experiment
 
 from conftest import preferential_attachment_graph
 
-GOLDEN_CORRECT = [457, 428, 423, 435, 417, 457, 420, 419, 438, 408]
+GOLDEN_CORRECT = [459, 438, 429, 439, 421, 457, 422, 422, 443, 416]
 GOLDEN_TOTAL_COST = [74825.11030427927, 98834.64325660573, 82850.99978086038,
                      148894.23298361126, 196323.32843020366, 42236.07852089351,
                      140408.4266681095, 73208.95960799641, 99425.54826550104,

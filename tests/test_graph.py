@@ -48,6 +48,12 @@ def test_from_edge_list_rejects_small_n():
         from_edge_list([(0, 5)], n=3)
 
 
+@pytest.mark.parametrize("n", ["3", 2.5, True])
+def test_from_edge_list_rejects_non_integer_n(n):
+    with pytest.raises(GraphError):
+        from_edge_list([(0, 1)], n=n)
+
+
 def test_duplicate_and_reversed_edges_collapse():
     g = from_edge_list([(0, 1), (1, 0), (0, 1), (1, 2)])
     assert g.num_edges == 2

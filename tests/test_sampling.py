@@ -18,6 +18,16 @@ def test_rng_handle_replays_by_seed():
     assert RngHandle(5).derive(3).seed == 8
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RngHandle(1.5),
+    lambda: RngHandle("7"),
+    lambda: RngHandle(0).derive(2.5),
+], ids=["seed-float", "seed-string", "offset-float"])
+def test_rng_handle_rejects_non_integer_seeds(make):
+    with pytest.raises(GraphError):
+        make()
+
+
 def test_full_size_sample_is_a_copy():
     g = random_connected_graph(20, seed=1)
     sample = random_walk_sample(g, 20, RngHandle(0))
@@ -54,6 +64,12 @@ def test_sample_size_validation(lifted_torus):
         random_walk_sample(lifted_torus, 0, RngHandle(0))
     with pytest.raises(GraphError):
         random_walk_sample(lifted_torus, 37, RngHandle(0))
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 0, -1, True])
+def test_walk_max_iter_must_be_a_positive_integer(lifted_torus, max_iter):
+    with pytest.raises(GraphError):
+        random_walk_sample(lifted_torus, 10, RngHandle(0), max_iter=max_iter)
 
 
 def test_sample_escapes_components_via_jump():
