@@ -23,6 +23,9 @@ from .curvature import node_curvatures
 # the signature mode each one aligns with.
 MODES = {"rmc": "ricci", "dmc": "degree"}
 
+# rows of m1 per matrix product in `cost_matrix`
+_PANEL_ROWS = 128
+
 
 @dataclass(frozen=True)
 class SignatureMatrix:
@@ -93,30 +96,49 @@ def cost_matrix(m1: SignatureMatrix, m2: SignatureMatrix) -> np.ndarray:
     """Pairwise Euclidean distances between rows of two signature matrices.
 
     Squared distances are exact integers, so an entry is exactly 0.0 iff the
-    two rows are identical. With S the largest row sum of squares, every
-    partial sum of a Gram entry is at most S, and each squared distance is
-    (|a|^2 + |b|^2) - 2 a.b with both terms at most 2S. When 2S < 2^53 all
-    of that is exact in float64, so the Gram product runs in BLAS. Otherwise
-    it runs in int64, which holds every value up to |a - b|^2 <= 4S while
-    4S < 2^63; beyond that the matrix is rejected rather than wrapped.
+    two rows are equal. The squared distance |a - b|^2 is the dot product of
+    the augmented rows [|a|^2, 1, -2a] and [1, |b|^2, b], so one matrix
+    product gives them all. With S the largest row sum of squares, every
+    partial sum of that product is an integer of magnitude at most 4S
+    (Cauchy-Schwarz). The product runs in float64 (BLAS) when 4S < 2^53 and
+    in int64 when 4S < 2^63; beyond that the matrix is rejected rather than
+    wrapped. m1's rows are taken in panels sorted by the width they use (up
+    to their last nonzero slot), and each panel is multiplied only that far,
+    so zero padding is skipped; the result is the one n1 x n2 array built.
     """
     if m1.width != m2.width:
         raise GraphError(f"signature widths differ: {m1.width} vs {m2.width}")
     if m1.mode != m2.mode:
         raise GraphError(f"signature modes differ: {m1.mode} vs {m2.mode}")
-    a, b = m1.rows.astype(np.float64), m2.rows.astype(np.float64)
-    sa, sb = (a * a).sum(axis=1), (b * b).sum(axis=1)
-    largest = max(sa.max(initial=0.0), sb.max(initial=0.0))
-    if 2 * largest >= 2.0 ** 53:
-        a, b = m1.rows, m2.rows
+    a, b = np.asarray(m1.rows, dtype=np.int64), np.asarray(m2.rows, dtype=np.int64)
+    sa = np.square(a, dtype=np.float64).sum(axis=1)
+    sb = np.square(b, dtype=np.float64).sum(axis=1)
+    dtype = np.float64
+    # float64 sums of squares below 2^51 are exact; above that S is recomputed exactly
+    if 4 * max(sa.max(initial=0.0), sb.max(initial=0.0)) >= 2.0 ** 53:
         exact = (a.astype(object) ** 2).sum(axis=1).tolist() + \
             (b.astype(object) ** 2).sum(axis=1).tolist()
         if 4 * max(exact) >= 2 ** 63:
             raise GraphError("signature rows are too large for an exact int64 cost matrix")
+        dtype = np.int64
         sa, sb = (a * a).sum(axis=1), (b * b).sum(axis=1)
-    sq = np.add.outer(sa, sb)
-    sq -= 2 * (a @ b.T)
-    return np.sqrt(sq)
+
+    n1, n2, m = len(a), len(b), m1.width
+    lhs = np.empty((n1, m + 2), dtype=dtype)
+    lhs[:, 0], lhs[:, 1], lhs[:, 2:] = sa, 1, -2 * a
+    rhs = np.empty((m + 2, n2), dtype=dtype)
+    rhs[0], rhs[1], rhs[2:] = 1, sb, b.T
+    used = 2 + np.where(a != 0, np.arange(1, m + 1), 0).max(axis=1, initial=0)
+    order = np.argsort(used, kind="stable")
+    out = np.empty((n1, n2))
+    panel = np.empty((min(_PANEL_ROWS, n1), n2))
+    for start in range(0, n1, _PANEL_ROWS):
+        rows = order[start:start + _PANEL_ROWS]
+        k = used[rows[-1]]
+        # an int64 product is converted to float64 here, each entry rounded once
+        block = np.matmul(lhs[rows, :k], rhs[:k], out=panel[:len(rows)])
+        out[rows] = np.sqrt(block, out=block)
+    return out
 
 
 def hungarian(cost) -> Assignment:

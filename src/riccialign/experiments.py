@@ -23,7 +23,7 @@ from .curvature import node_curvatures
 from .tessellation import triangular_ring_2d, lift_to_3d
 from .spectral import curvature_laplacian_holds
 from .linegraph import line_graph
-from .sampling import RngHandle, random_walk_sample, delete_edges_randomly
+from .sampling import RngHandle, _check_probability, random_walk_sample, delete_edges_randomly
 from .alignment import MODES, align, cost_matrix, hungarian, ricci_matrix, score_alignment
 
 
@@ -53,11 +53,10 @@ class ExperimentConfig:
             raise GraphError("subgraph_size must not exceed intermediate_sample_size")
         if self.subgraph_size <= 0:
             raise GraphError("subgraph_size must be positive")
-        if not 0.0 <= self.deletion_probability <= 1.0:
-            raise GraphError("deletion_probability must be in [0, 1]")
+        _check_probability(self.deletion_probability)
         if self.rounds < 1:
             raise GraphError("rounds must be >= 1")
-        if self.mode not in MODES:
+        if not isinstance(self.mode, str) or self.mode not in MODES:
             raise GraphError(f"mode must be one of {sorted(MODES)}, got {self.mode!r}")
 
 

@@ -7,6 +7,7 @@ can own an independent handle.
 
 from __future__ import annotations
 
+import numbers
 import random
 
 import numpy as np
@@ -91,13 +92,19 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle,
     return g.induced_subgraph(visited)
 
 
+def _check_probability(p) -> None:
+    """Raise GraphError unless p is a real number in [0, 1] (bools and NaN are not)."""
+    if isinstance(p, (bool, np.bool_)) or not isinstance(p, numbers.Real) \
+            or not 0.0 <= p <= 1.0:
+        raise GraphError(f"deletion probability must be a number in [0, 1], got {p!r}")
+
+
 def delete_edges_randomly(g: Graph, p: float, rng: RngHandle) -> Graph:
     """Drop each edge independently with probability p; nodes are untouched.
 
     Edges are drawn in canonical order, so the handle's seed pins the result.
     """
-    if not 0.0 <= p <= 1.0:
-        raise GraphError(f"deletion probability must be in [0, 1], got {p}")
+    _check_probability(p)
     draw = rng.generator.random
     kept = np.array([draw() for _ in range(g.num_edges)]) >= p
     edges = g.edge_array[kept]

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from riccialign import (
     Graph,
     GraphError,
+    SignatureMatrix,
     align,
     common_max_degree,
     cost_matrix,
@@ -127,11 +129,88 @@ def test_cost_matrix_zero_iff_rows_identical():
 
 def _exact_costs(rows1, rows2) -> np.ndarray:
     return np.array([[math.sqrt(sum((p - q) ** 2 for p, q in zip(r, s))) for s in rows2]
-                     for r in rows1])
+                     for r in rows1]).reshape(len(rows1), len(rows2))
+
+
+def _signature(rows, m: int) -> SignatureMatrix:
+    return SignatureMatrix(rows=np.array(rows, dtype=np.int64).reshape(len(rows), m),
+                           node_order=tuple(range(len(rows))), mode="ricci")
+
+
+def _assert_bitwise_equal(c: np.ndarray, expected: np.ndarray) -> None:
+    assert c.shape == expected.shape
+    assert c.tobytes() == expected.tobytes()
+
+
+_ENTRIES = st.one_of(st.just(0), st.integers(-60, 60))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 6).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(_ENTRIES, min_size=m, max_size=m), max_size=9),
+    st.lists(st.lists(_ENTRIES, min_size=m, max_size=m), max_size=9))))
+def test_cost_matrix_matches_exact_reference(data):
+    # mixed signs, zeros anywhere in a row (all-zero rows too), unequal row counts
+    m, rows1, rows2 = data
+    c = cost_matrix(_signature(rows1, m), _signature(rows2, m))
+    _assert_bitwise_equal(c, _exact_costs(rows1, rows2))
+
+
+def test_cost_matrix_exact_across_panels():
+    # more rows than one 128-row panel, in random order, with used widths
+    # (up to the last nonzero slot) spread from 0 to m, so that the panels of
+    # width-sorted rows mix widths and the loop crosses panel boundaries
+    rng = random.Random(7)
+    m = 24
+
+    def row():
+        used = rng.randint(0, m)
+        return [rng.choice([0, rng.randint(-40, 40)]) for _ in range(used)] + [0] * (m - used)
+
+    rows1 = [row() for _ in range(300)]
+    rows2 = [row() for _ in range(140)]
+    c = cost_matrix(_signature(rows1, m), _signature(rows2, m))
+    _assert_bitwise_equal(c, _exact_costs(rows1, rows2))
+
+
+@pytest.mark.parametrize("rows1, rows2, int64", [
+    # 4S just under 2^53: the float64 product, every partial sum exact
+    ([[2**25 - 1, 2**25 - 1, 5], [3, 0, -2]],
+     [[2 - 2**25, 1 - 2**25, -7], [0, 1, 0]], False),
+    # 4S just over 2^53: the int64 product. The first squared distance is
+    # above 2^53; a float64 product summed left to right gives
+    # 94906269.15978622 for that entry, not the exact 94906269.15978621
+    ([[33554431, 33554432, 5], [3, 0, -2]],
+     [[-33554436, -33554434, -7], [0, 1, 0]], True),
+], ids=["float64", "int64"])
+def test_cost_matrix_exact_on_both_sides_of_the_4s_guard(rows1, rows2, int64):
+    largest = max(sum(x * x for x in row) for row in rows1 + rows2)
+    assert (4 * largest >= 2**53) == int64
+    assert abs(4 * largest - 2**53) < 2**33
+    c = cost_matrix(_signature(rows1, 3), _signature(rows2, 3))
+    _assert_bitwise_equal(c, _exact_costs(rows1, rows2))
+
+
+def test_cost_matrix_peak_memory_is_about_the_output():
+    # the output is the one n x n array: no n x n temporaries next to it
+    rng = np.random.default_rng(0)
+    n, m = 1000, 100
+    deg = rng.integers(1, m + 1, size=n)
+    rows = np.where(np.arange(m) < deg[:, None], rng.integers(-300, 30, size=(n, m)), 0)
+    sig = SignatureMatrix(rows=rows, node_order=tuple(range(n)), mode="ricci")
+    tracemalloc.start()
+    try:
+        c = cost_matrix(sig, sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.shape == (n, n)
+    assert peak < 1.5 * n * n * 8
 
 
 @pytest.mark.parametrize("rows1, rows2, float_exact", [
-    # largest row sum of squares S just under 2^52: the float64 product is exact
+    # largest row sum of squares S just under 2^52: exact (2S < 2^53, 4S > 2^53)
     ([[2**25 + 3, 2**25 - 1, 5], [2**26 - 1, 1, 0]],
      [[2**25 - 4, 2**25 + 2, 1], [2**26 - 2, 3, 0]], True),
     # S just over 2^52: a float64 Gram product gives 80 for the first entry,

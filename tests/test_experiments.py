@@ -94,6 +94,15 @@ def test_integer_errors_name_the_field(name):
         ExperimentConfig(input_path="x", **{name: 2.5})
 
 
+@pytest.mark.parametrize("name, value", [("deletion_probability", "0.1"),
+                                         ("deletion_probability", True),
+                                         ("mode", ["rmc"])],
+                         ids=["probability-string", "probability-bool", "mode-list"])
+def test_config_rejects_mistyped_probability_and_mode(name, value):
+    with pytest.raises(GraphError):
+        ExperimentConfig(input_path="x", **{name: value})
+
+
 def _small_config(path, **overrides) -> ExperimentConfig:
     defaults = dict(input_path=str(path), intermediate_sample_size=120,
                     subgraph_size=60, deletion_probability=0.01,

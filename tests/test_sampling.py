@@ -115,6 +115,12 @@ def test_delete_edges_validates_probability(lifted_torus):
             delete_edges_randomly(lifted_torus, bad, RngHandle(0))
 
 
+@pytest.mark.parametrize("bad", ["0.1", None, True], ids=["string", "none", "bool"])
+def test_delete_edges_probability_must_be_a_number(lifted_torus, bad):
+    with pytest.raises(GraphError):
+        delete_edges_randomly(lifted_torus, bad, RngHandle(0))
+
+
 def test_delete_edges_carries_weights():
     g = random_connected_graph(12, seed=4)
     node_w = {v: 1.0 + v for v in g.nodes if v % 3}
