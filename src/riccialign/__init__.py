@@ -22,7 +22,6 @@ from .curvature import (
     curvature_distribution,
     curvature_map,
     edge_curvature_unweighted,
-    edge_curvature_weighted,
     node_curvature,
     node_curvatures,
     write_distribution_csv,
@@ -73,8 +72,8 @@ __all__ = [
     "Graph", "GraphError", "GraphMLError", "DirectedGraphError",
     "from_edge_list", "load_graphml", "read_edge_list", "write_edge_list",
     "CurvatureMap", "curvature_map", "curvature_distribution",
-    "edge_curvature_unweighted", "edge_curvature_weighted",
-    "node_curvature", "node_curvatures", "write_distribution_csv",
+    "edge_curvature_unweighted", "node_curvature", "node_curvatures",
+    "write_distribution_csv",
     "TorusSpec", "build_torus", "triangular_ring_2d", "square_frame_2d",
     "mixed_tiling_2d", "lift_to_3d", "triangulate_prisms",
     "laplacian", "labeled_signature_vector",

@@ -4,8 +4,9 @@ Both alignment flavors share one shape: an N x m matrix whose row for node v
 lists a feature of v's neighbors in ascending order, zero-padded on the
 right, with m the common maximum degree of the graph pair. Degree mode (DMC)
 uses neighbor degrees; Ricci mode (RMC) swaps in the neighbors' Forman-Ricci
-node curvatures. Rows are compared by Euclidean distance and matched with an
-exact minimum-cost assignment solver.
+node curvatures, which are exact integers. Row v belongs to node v; rows
+are compared by Euclidean distance and matched with an exact minimum-cost
+assignment solver.
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ _PANEL_ROWS = 128
 class SignatureMatrix:
     """Per-node feature rows of one graph.
 
-    rows[i] belongs to node_order[i]; entries are ascending with zero padding
-    on the right, so node i has exactly deg(i) feature slots. mode is
-    "degree" or "ricci".
+    rows[v] belongs to node v; entries are ascending with zero padding on
+    the right, so node v has exactly deg(v) feature slots. mode is "degree"
+    or "ricci".
     """
 
     rows: np.ndarray
-    node_order: tuple
     mode: str
 
     @property
@@ -75,21 +75,16 @@ def _signature_rows(g: Graph, m: int, features) -> np.ndarray:
 
 def degree_matrix(g: Graph, m: int) -> SignatureMatrix:
     """Rows of sorted neighbor degrees, zero-padded to width m."""
-    return SignatureMatrix(rows=_signature_rows(g, m, g.degrees),
-                           node_order=tuple(g.nodes), mode="degree")
+    return SignatureMatrix(rows=_signature_rows(g, m, g.degrees), mode="degree")
 
 
 def ricci_matrix(g: Graph, m: int) -> SignatureMatrix:
     """Rows of sorted neighbor node curvatures, zero-padded to width m.
 
     Same dimensions as the degree matrix: a row still has deg(v) feature
-    slots, they just hold curvatures. Unweighted graphs only, which keeps
-    every entry an exact integer.
+    slots, they just hold curvatures.
     """
-    if not g.is_unweighted:
-        raise GraphError("ricci signature matrices are defined for unweighted graphs")
-    return SignatureMatrix(rows=_signature_rows(g, m, node_curvatures(g)),
-                           node_order=tuple(g.nodes), mode="ricci")
+    return SignatureMatrix(rows=_signature_rows(g, m, node_curvatures(g)), mode="ricci")
 
 
 def cost_matrix(m1: SignatureMatrix, m2: SignatureMatrix) -> np.ndarray:

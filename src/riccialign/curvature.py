@@ -1,17 +1,18 @@
-"""Forman-Ricci curvature on edges and nodes, weighted and unweighted.
+"""Forman-Ricci curvature on edges and nodes.
 
-For an unweighted graph the curvature of an edge {v1, v2} is
-2 - deg(v1) - deg(v2), and a node's curvature is the sum over its incident
-edges. The weighted form
+The curvature of an edge {v1, v2} is 2 - deg(v1) - deg(v2), and a node's
+curvature is the sum over its incident edges; this is the form RMC uses.
+`curvature_map` alone also takes optional positive node and edge weights
+(absent ones are 1) and evaluates Forman's weighted form
 
     Ric(e) = w_e * (w_v1/w_e + w_v2/w_e
                     - sum_{f ~ v1} w_v1 / sqrt(w_e * w_f)
                     - sum_{f ~ v2} w_v2 / sqrt(w_e * w_f))
 
-is evaluated with the incident-edge sums ranging over ALL edges at each
-endpoint, including e itself, so that unit weights degenerate exactly to the
-unweighted formula. All functions are pure; evaluating them concurrently
-over an immutable graph is safe.
+with the incident-edge sums ranging over ALL edges at each endpoint,
+including e itself, so that unit weights give the unweighted values. All
+functions are pure; evaluating them concurrently over an immutable graph is
+safe.
 """
 
 from __future__ import annotations
@@ -25,22 +26,36 @@ import numpy as np
 from .graph import Graph, GraphError
 
 
-def _edge_curvatures(g: Graph) -> np.ndarray:
+def _weights(weights: dict) -> np.ndarray:
+    """The values of a weight dict as float64; each must be finite and > 0."""
+    try:
+        w = np.array(list(weights.values()), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"weights must be numbers: {exc}") from exc
+    bad = ~(np.isfinite(w) & (w > 0))
+    if bad.any():
+        key = list(weights)[bad.argmax()]
+        raise GraphError(f"weight {w[bad.argmax()]} at {key} is not finite and positive")
+    return w
+
+
+def _edge_curvatures(g: Graph, node_weights=None, edge_weights=None) -> np.ndarray:
     """Curvature of every edge, in ``g.edge_array`` order.
 
-    int64 2 - deg(v1) - deg(v2) when unweighted; otherwise the formula above
-    rearranged as w_v1 + w_v2 - sqrt(w_e) * (w_v1 * S_v1 + w_v2 * S_v2), with
-    S_x the sum of 1 / sqrt(w_f) over all edges f at x.
+    int64 2 - deg(v1) - deg(v2) without weights. With weights (node id ->
+    weight, (u, v) in either orientation -> weight), the formula above
+    rearranged as w_v1 + w_v2 - sqrt(w_e) * (w_v1 * S_v1 + w_v2 * S_v2),
+    with S_x the sum of 1 / sqrt(w_f) over all edges f at x.
     """
     n, ends = g.num_nodes, g.edge_array
     u, v = ends.T
-    if g.is_unweighted:
+    if not node_weights and not edge_weights:
         return 2 - g.degrees[u] - g.degrees[v]
     w_node, w_edge = np.ones(n), np.ones(len(ends))
-    if g.node_weights:
-        w_node[list(g.node_weights)] = list(g.node_weights.values())
-    if g.edge_weights:
-        w_edge[g.edge_rows(g.edge_weights.keys())] = list(g.edge_weights.values())
+    if node_weights:
+        w_node[g.node_ids(node_weights.keys())] = _weights(node_weights)
+    if edge_weights:
+        w_edge[g.edge_rows(edge_weights.keys())] = _weights(edge_weights)
     s = np.bincount(ends.ravel(), np.repeat(1 / np.sqrt(w_edge), 2), minlength=n)
     return w_node[u] + w_node[v] - np.sqrt(w_edge) * (w_node[u] * s[u] + w_node[v] * s[v])
 
@@ -55,23 +70,11 @@ def _node_sums(g: Graph, edge_c: np.ndarray) -> np.ndarray:
 def edge_curvature_unweighted(g: Graph, e) -> int:
     """Curvature 2 - deg(v1) - deg(v2) of an existing edge (one O(E) pass)."""
     (row,) = g.edge_rows([e])
-    if not g.is_unweighted:
-        raise GraphError("graph has non-unit weights; use edge_curvature_weighted")
     return int(_edge_curvatures(g)[row])
 
 
-def edge_curvature_weighted(g: Graph, e) -> float:
-    """Weighted Forman-Ricci curvature of an existing edge (one O(E) pass).
-
-    Requires strictly positive weights (enforced at graph construction).
-    Equals edge_curvature_unweighted when every weight is 1.
-    """
-    (row,) = g.edge_rows([e])
-    return float(_edge_curvatures(g)[row])
-
-
 def node_curvature(g: Graph, v: int):
-    """Sum of v's incident-edge curvatures (one O(E) pass); int when unweighted."""
+    """Sum of v's incident-edge curvatures, an int (one O(E) pass)."""
     (v,) = g.node_ids([v])
     return node_curvatures(g)[v]
 
@@ -89,9 +92,16 @@ class CurvatureMap:
     node_curvature: dict
 
 
-def curvature_map(g: Graph) -> CurvatureMap:
-    """Compute every edge and node curvature of g (one O(E) pass)."""
-    edge_c = _edge_curvatures(g)
+def curvature_map(g: Graph, node_weights=None, edge_weights=None) -> CurvatureMap:
+    """Compute every edge and node curvature of g (one O(E) pass).
+
+    Without weights the values are ints. `node_weights` maps node ids and
+    `edge_weights` maps edges, given as (u, v) in either orientation, to
+    finite positive weights; any weight given makes every value a float of
+    the weighted form, with absent weights 1. Bad keys or weights raise
+    GraphError.
+    """
+    edge_c = _edge_curvatures(g, node_weights, edge_weights)
     return CurvatureMap(edge_curvature=dict(zip(g.edges, edge_c.tolist())),
                         node_curvature=dict(enumerate(_node_sums(g, edge_c).tolist())))
 

@@ -24,7 +24,8 @@ from .tessellation import triangular_ring_2d, lift_to_3d
 from .spectral import curvature_laplacian_holds
 from .linegraph import line_graph
 from .sampling import RngHandle, _check_probability, random_walk_sample, delete_edges_randomly
-from .alignment import MODES, align, cost_matrix, hungarian, ricci_matrix, score_alignment
+from .alignment import MODES, SignatureMatrix, _signature_rows, align, cost_matrix, \
+    hungarian, score_alignment
 
 
 class ExperimentError(RuntimeError):
@@ -135,7 +136,7 @@ def run_torus_experiment() -> TorusReport:
     distribution = tuple(sorted(Counter(curvatures).items()))
     values, sizes = zip(*distribution)
 
-    sig = ricci_matrix(torus, torus.max_degree())
+    sig = SignatureMatrix(_signature_rows(torus, torus.max_degree(), curvatures), "ricci")
     class_of = dict(zip(values, "ABC"))
     row_forms = {}
     for v in torus.nodes:

@@ -1,13 +1,15 @@
 """Undirected graphs with dense integer node ids, plus file ingestion.
 
 Graphs are immutable after construction: node ids are always the dense range
-0..N-1, and optional positive node/edge weights default to 1. The structure
-is stored as read-only numpy arrays in compressed sparse row (CSR) form:
-node v's neighbors are ``indices[indptr[v]:indptr[v + 1]]`` in ascending
-order, and ``edge_array`` holds every edge once as a canonical (min, max)
-row, sorted lexicographically. The arrays are built with numpy sorts rather
-than per-edge Python objects, so every layer can work on them vectorised,
-and a fixed edge order keeps every downstream matrix row order reproducible.
+0..N-1, and a graph holds only its structure and optional origin labels
+(values on nodes or edges are arguments of the formula that reads them, as
+in ``curvature_map``). The structure is stored as read-only numpy arrays in
+compressed sparse row (CSR) form: node v's neighbors are
+``indices[indptr[v]:indptr[v + 1]]`` in ascending order, and ``edge_array``
+holds every edge once as a canonical (min, max) row, sorted
+lexicographically. The arrays are built with numpy sorts rather than
+per-edge Python objects, so every layer can work on them vectorised, and a
+fixed edge order keeps every downstream matrix row order reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 
 class GraphError(ValueError):
-    """Structural violation: bad node id, self-loop, nonpositive weight, ..."""
+    """Bad input: unknown node id, self-loop, missing edge, non-positive value, ..."""
 
 
 class GraphMLError(GraphError):
@@ -72,9 +74,6 @@ class Graph:
         Iterable of id pairs, or an (E, 2) integer array. Pairs are
         canonicalized and deduplicated; self-loops, out-of-range endpoints
         and anything that is not a pair of integers raise GraphError.
-    node_weights, edge_weights:
-        Optional strictly positive weights. Absent means unweighted
-        (equivalently: all weights 1).
     original_labels:
         Optional map id -> string recording where a node came from
         (GraphML id, parent-graph id, originating edge, ...).
@@ -89,11 +88,9 @@ class Graph:
         order; ``edges`` is the same as a tuple of pairs.
     """
 
-    __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "node_weights",
-                 "edge_weights", "original_labels", "_edges")
+    __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "original_labels", "_edges")
 
-    def __init__(self, num_nodes, edges, node_weights=None, edge_weights=None,
-                 original_labels=None):
+    def __init__(self, num_nodes, edges, original_labels=None):
         n = self.num_nodes = int(_integers(num_nodes, ()))
         if n < 0:
             raise GraphError(f"negative node count {n}")
@@ -120,19 +117,6 @@ class Graph:
         for a in (self.indptr, self.indices, self.edge_array):
             a.flags.writeable = False
         self._edges = None
-
-        if node_weights is not None:
-            ids = self.node_ids(node_weights.keys()).tolist()
-            node_weights = dict(zip(ids, map(float, node_weights.values())))
-        if edge_weights is not None:
-            # stored under the canonical (min, max) pair
-            pairs = map(tuple, self.edge_array[self.edge_rows(edge_weights.keys())].tolist())
-            edge_weights = dict(zip(pairs, map(float, edge_weights.values())))
-        for key, w in [*(node_weights or {}).items(), *(edge_weights or {}).items()]:
-            if w <= 0:
-                raise GraphError(f"nonpositive weight {w} at {key}")
-        self.node_weights = node_weights
-        self.edge_weights = edge_weights
         self.original_labels = dict(original_labels) if original_labels else None
 
     # -- basic accessors ---------------------------------------------------
@@ -210,17 +194,6 @@ class Graph:
     def max_degree(self) -> int:
         return int(self.degrees.max(initial=0))
 
-    # -- weights -----------------------------------------------------------
-
-    @property
-    def is_unweighted(self) -> bool:
-        """True when every node and edge weight is (implicitly) 1."""
-        if self.node_weights and any(w != 1.0 for w in self.node_weights.values()):
-            return False
-        if self.edge_weights and any(w != 1.0 for w in self.edge_weights.values()):
-            return False
-        return True
-
     # -- structure ---------------------------------------------------------
 
     def _row_slots(self, rows: np.ndarray) -> np.ndarray:
@@ -252,7 +225,6 @@ class Graph:
         """
         kept = np.sort(self.node_ids(keep))
         kept = kept[np.diff(kept, prepend=-1) != 0]
-        keep = kept.tolist()
         new_id = np.full(self.num_nodes, -1, dtype=np.int64)
         new_id[kept] = np.arange(len(kept))
         # only the kept nodes' rows are read, not every parent edge
@@ -263,17 +235,9 @@ class Graph:
         sub_edges = np.column_stack((src[inside], dst[inside]))
 
         parent = self.original_labels or {}
-        labels = {i: parent[v] if v in parent else str(v) for i, v in enumerate(keep)}
-        index = {v: i for i, v in enumerate(keep)}
-        node_w = None
-        if self.node_weights is not None:
-            node_w = {index[v]: w for v, w in self.node_weights.items() if v in index}
-        edge_w = None
-        if self.edge_weights is not None:
-            edge_w = {(index[u], index[v]): w for (u, v), w in self.edge_weights.items()
-                      if u in index and v in index}
-        return Graph(len(keep), sub_edges, node_weights=node_w,
-                     edge_weights=edge_w, original_labels=labels)
+        labels = {i: parent[v] if v in parent else str(v)
+                  for i, v in enumerate(kept.tolist())}
+        return Graph(len(kept), sub_edges, original_labels=labels)
 
     # -- dunder ------------------------------------------------------------
 
@@ -281,9 +245,7 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.num_nodes == other.num_nodes
-                and np.array_equal(self.edge_array, other.edge_array)
-                and self.node_weights == other.node_weights
-                and self.edge_weights == other.edge_weights)
+                and np.array_equal(self.edge_array, other.edge_array))
 
     def __hash__(self):
         return hash((self.num_nodes, self.edge_array.tobytes()))

@@ -107,10 +107,4 @@ def delete_edges_randomly(g: Graph, p: float, rng: RngHandle) -> Graph:
     _check_probability(p)
     draw = rng.generator.random
     kept = np.array([draw() for _ in range(g.num_edges)]) >= p
-    edges = g.edge_array[kept]
-    edge_w = None
-    if g.edge_weights is not None:
-        kept_set = set(map(tuple, edges.tolist()))
-        edge_w = {e: w for e, w in g.edge_weights.items() if e in kept_set}
-    return Graph(g.num_nodes, edges, node_weights=g.node_weights,
-                 edge_weights=edge_w, original_labels=g.original_labels)
+    return Graph(g.num_nodes, g.edge_array[kept], original_labels=g.original_labels)

@@ -1,7 +1,6 @@
 """Graph Laplacian, labeled signature vectors, and the curvature identity.
 
-Everything here stays in exact integer arithmetic: for every node i of an
-unweighted graph,
+Everything here stays in exact integer arithmetic: for every node i,
 
     Ric(v_i) - (L s^T)_i = 2 deg(v_i) (1 - deg(v_i))
 
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph
 from .curvature import node_curvature, node_curvatures
 
 
@@ -48,18 +47,13 @@ def _ls_product(g: Graph, i: int) -> int:
 def curvature_laplacian_residual(g: Graph, i: int) -> int:
     """Ric(v_i) - (L s^T)_i, computed with the actual matrix product.
 
-    For unweighted graphs this equals 2 deg(v_i) (1 - deg(v_i)) exactly;
-    weighted graphs are rejected.
+    This equals 2 deg(v_i) (1 - deg(v_i)) exactly.
     """
-    if not g.is_unweighted:
-        raise GraphError("the curvature-Laplacian identity only holds unweighted")
     return node_curvature(g, i) - _ls_product(g, i)
 
 
 def curvature_laplacian_holds(g: Graph) -> bool:
-    """Check the identity at every node of an unweighted graph."""
-    if not g.is_unweighted:
-        raise GraphError("the curvature-Laplacian identity only holds unweighted")
+    """Check the identity at every node of g."""
     ric = node_curvatures(g)
     return all(ric[i] - _ls_product(g, i) == 2 * d * (1 - d)
                for i, d in enumerate(g.degrees.tolist()))

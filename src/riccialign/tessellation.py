@@ -81,27 +81,18 @@ def lift_to_3d(g2d: Graph) -> Graph:
     """Two copies of g2d joined by one vertical edge per node.
 
     Node v of the flat graph becomes v (bottom) and v + N (top), so
-    N' = 2N and |E'| = 2|E| + N. Weights and labels carry over to both
-    copies; vertical edges are unweighted.
+    N' = 2N and |E'| = 2|E| + N. Labels carry over to both copies, the top
+    one suffixed "+top".
     """
     n = g2d.num_nodes
     edges = list(g2d.edges)
     edges += [(u + n, v + n) for u, v in g2d.edges]
     edges += [(v, v + n) for v in range(n)]
-    node_w = None
-    if g2d.node_weights is not None:
-        node_w = dict(g2d.node_weights)
-        node_w.update({v + n: w for v, w in g2d.node_weights.items()})
-    edge_w = None
-    if g2d.edge_weights is not None:
-        edge_w = dict(g2d.edge_weights)
-        edge_w.update({(u + n, v + n): w for (u, v), w in g2d.edge_weights.items()})
     labels = None
     if g2d.original_labels is not None:
         labels = dict(g2d.original_labels)
         labels.update({v + n: lab + "+top" for v, lab in g2d.original_labels.items()})
-    return Graph(2 * n, edges, node_weights=node_w, edge_weights=edge_w,
-                 original_labels=labels)
+    return Graph(2 * n, edges, original_labels=labels)
 
 
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
@@ -138,8 +129,7 @@ def triangulate_prisms(g: Graph, prisms) -> Graph:
                     f"prism faces {bottom}/{top} do not correspond: "
                     f"no vertical edge ({bottom[i]}, {top[i]})")
         new_edges += [(bottom[i], top[(i + 1) % 3]) for i in range(3)]
-    return Graph(g.num_nodes, new_edges, node_weights=g.node_weights,
-                 edge_weights=g.edge_weights, original_labels=g.original_labels)
+    return Graph(g.num_nodes, new_edges, original_labels=g.original_labels)
 
 
 @dataclass(frozen=True)

@@ -75,12 +75,6 @@ def test_ricci_matrix_k3():
     assert (m.rows == [-4, -4]).all()
 
 
-def test_ricci_matrix_rejects_weighted():
-    g = Graph(2, [(0, 1)], edge_weights={(0, 1): 2.0})
-    with pytest.raises(GraphError):
-        ricci_matrix(g, 1)
-
-
 def test_ricci_rows_have_degree_many_nonzeros(example_graph, lifted_torus):
     for g in (example_graph, lifted_torus):
         m = ricci_matrix(g, g.max_degree())
@@ -97,10 +91,8 @@ def test_cost_matrix_zero_diagonal(example_graph):
 def test_cost_matrix_345():
     from riccialign import SignatureMatrix
 
-    m1 = SignatureMatrix(rows=np.array([[0, 0]], dtype=np.int64),
-                         node_order=(0,), mode="degree")
-    m2 = SignatureMatrix(rows=np.array([[3, 4]], dtype=np.int64),
-                         node_order=(0,), mode="degree")
+    m1 = SignatureMatrix(rows=np.array([[0, 0]], dtype=np.int64), mode="degree")
+    m2 = SignatureMatrix(rows=np.array([[3, 4]], dtype=np.int64), mode="degree")
     assert cost_matrix(m1, m2)[0, 0] == 5.0
 
 
@@ -119,8 +111,8 @@ def test_cost_matrix_zero_iff_rows_identical():
     rows2[3, 0] += 1
     from riccialign import SignatureMatrix
 
-    m1 = SignatureMatrix(rows=rows1, node_order=tuple(range(6)), mode="ricci")
-    m2 = SignatureMatrix(rows=rows2, node_order=tuple(range(6)), mode="ricci")
+    m1 = SignatureMatrix(rows=rows1, mode="ricci")
+    m2 = SignatureMatrix(rows=rows2, mode="ricci")
     c = cost_matrix(m1, m2)
     for i in range(6):
         for j in range(6):
@@ -134,7 +126,7 @@ def _exact_costs(rows1, rows2) -> np.ndarray:
 
 def _signature(rows, m: int) -> SignatureMatrix:
     return SignatureMatrix(rows=np.array(rows, dtype=np.int64).reshape(len(rows), m),
-                           node_order=tuple(range(len(rows))), mode="ricci")
+                           mode="ricci")
 
 
 def _assert_bitwise_equal(c: np.ndarray, expected: np.ndarray) -> None:
@@ -198,7 +190,7 @@ def test_cost_matrix_peak_memory_is_about_the_output():
     n, m = 1000, 100
     deg = rng.integers(1, m + 1, size=n)
     rows = np.where(np.arange(m) < deg[:, None], rng.integers(-300, 30, size=(n, m)), 0)
-    sig = SignatureMatrix(rows=rows, node_order=tuple(range(n)), mode="ricci")
+    sig = SignatureMatrix(rows=rows, mode="ricci")
     tracemalloc.start()
     try:
         c = cost_matrix(sig, sig)
@@ -223,8 +215,8 @@ def test_cost_matrix_exact_on_both_sides_of_2_53(rows1, rows2, float_exact):
 
     largest = max(sum(x * x for x in row) for row in rows1 + rows2)
     assert (2 * largest < 2**53) == float_exact
-    m1 = SignatureMatrix(rows=np.array(rows1, dtype=np.int64), node_order=(0, 1), mode="ricci")
-    m2 = SignatureMatrix(rows=np.array(rows2, dtype=np.int64), node_order=(0, 1), mode="ricci")
+    m1 = SignatureMatrix(rows=np.array(rows1, dtype=np.int64), mode="ricci")
+    m2 = SignatureMatrix(rows=np.array(rows2, dtype=np.int64), mode="ricci")
     assert (cost_matrix(m1, m2) == _exact_costs(rows1, rows2)).all()
 
 
@@ -232,10 +224,8 @@ def test_cost_matrix_rejects_int64_overflow():
     from riccialign import SignatureMatrix
 
     # the squared distance (2^32 - 1)^2 does not fit in int64
-    m1 = SignatureMatrix(rows=np.array([[-2**31, 0]], dtype=np.int64), node_order=(0,),
-                         mode="ricci")
-    m2 = SignatureMatrix(rows=np.array([[2**31 - 1, 0]], dtype=np.int64), node_order=(0,),
-                         mode="ricci")
+    m1 = SignatureMatrix(rows=np.array([[-2**31, 0]], dtype=np.int64), mode="ricci")
+    m2 = SignatureMatrix(rows=np.array([[2**31 - 1, 0]], dtype=np.int64), mode="ricci")
     with pytest.raises(GraphError):
         cost_matrix(m1, m2)
 

@@ -66,14 +66,18 @@ def test_align_command_matches_library(capsys, tmp_path, lifted_torus, mode):
     assert f"total cost {total:g}\n" in capsys.readouterr().out
 
 
-def test_align_command_rejects_size_mismatch(tmp_path):
+def test_align_command_rejects_size_mismatch(tmp_path, capsys):
+    # the same GraphError as any other bad input: a message and exit code 2
     g1 = tmp_path / "g1.edges"
     g2 = tmp_path / "g2.edges"
     write_edge_list(from_edge_list([(0, 1)]), g1)
     write_edge_list(from_edge_list([(0, 1), (1, 2)]), g2)
-    with pytest.raises(SystemExit):
-        main(["align", "--mode", "dmc", "--g1", str(g1), "--g2", str(g2),
-              "--out", str(tmp_path / "x.csv")])
+    out = tmp_path / "x.csv"
+    assert main(["align", "--mode", "dmc", "--g1", str(g1), "--g2", str(g2),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: graphs must have equal node counts, got 2 and 3\n"
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from riccialign import (
     curvature_distribution,
     curvature_map,
     edge_curvature_unweighted,
-    edge_curvature_weighted,
     from_edge_list,
     node_curvature,
     node_curvatures,
@@ -38,25 +37,19 @@ def test_unweighted_edge_curvature_missing_edge():
         edge_curvature_unweighted(from_edge_list(P3), (0, 2))
 
 
-def test_unweighted_edge_curvature_rejects_weighted():
-    g = Graph(2, K2, edge_weights={(0, 1): 2.0})
-    with pytest.raises(GraphError):
-        edge_curvature_unweighted(g, (0, 1))
-
-
 def test_weighted_matches_unweighted_at_unit_weights():
     for seed in range(5):
         g = random_graph(12, 0.3, seed)
-        unit = Graph(12, g.edges,
-                     node_weights={v: 1.0 for v in g.nodes},
-                     edge_weights={e: 1.0 for e in g.edges})
+        unit = curvature_map(g, node_weights={v: 1.0 for v in g.nodes},
+                             edge_weights={e: 1.0 for e in g.edges})
         for e in g.edges:
-            assert edge_curvature_weighted(unit, e) == edge_curvature_unweighted(g, e)
+            assert unit.edge_curvature[e] == edge_curvature_unweighted(g, e)
 
 
 def test_weighted_k2_is_zero():
-    g = Graph(2, K2, node_weights={0: 1.0, 1: 1.0}, edge_weights={(0, 1): 1.0})
-    assert edge_curvature_weighted(g, (0, 1)) == 0.0
+    cm = curvature_map(Graph(2, K2), node_weights={0: 1.0, 1: 1.0},
+                       edge_weights={(0, 1): 1.0})
+    assert cm.edge_curvature[(0, 1)] == 0.0
 
 
 def _substituted_curvature(edge_weights, node_weights, e):
@@ -71,14 +64,12 @@ def _substituted_curvature(edge_weights, node_weights, e):
 
 def test_weighted_p3_against_substitution_oracle():
     widths = {(0, 1): 4.0, (1, 2): 1.0}
-    g = Graph(3, P3, edge_weights=widths)
+    edge_c = curvature_map(Graph(3, P3), edge_weights=widths).edge_curvature
     node_w = {0: 1.0, 1: 1.0, 2: 1.0}
-    assert edge_curvature_weighted(g, (0, 1)) == pytest.approx(
-        _substituted_curvature(widths, node_w, (0, 1)))
-    assert edge_curvature_weighted(g, (1, 2)) == pytest.approx(
-        _substituted_curvature(widths, node_w, (1, 2)))
-    assert edge_curvature_weighted(g, (0, 1)) == pytest.approx(-2.0)
-    assert edge_curvature_weighted(g, (1, 2)) == pytest.approx(-0.5)
+    assert edge_c[(0, 1)] == pytest.approx(_substituted_curvature(widths, node_w, (0, 1)))
+    assert edge_c[(1, 2)] == pytest.approx(_substituted_curvature(widths, node_w, (1, 2)))
+    assert edge_c[(0, 1)] == pytest.approx(-2.0)
+    assert edge_c[(1, 2)] == pytest.approx(-0.5)
 
 
 def test_node_curvature_worked_example(example_graph):
@@ -142,27 +133,17 @@ def test_distribution_csv(tmp_path):
     assert path.read_text() == "value,count\n-2,1\n-1,2\n"
 
 
-def _weighted_graph(seed):
-    """Seeded random graph with random positive node and edge weights."""
+@pytest.mark.parametrize("seed", range(5))
+def test_weighted_node_curvature_is_incident_edge_sum(seed):
     rng = random.Random(seed)
     g = random_graph(14, 0.3, seed)
     node_w = {v: rng.uniform(0.2, 5.0) for v in g.nodes}
     edge_w = {e: rng.uniform(0.2, 5.0) for e in g.edges}
-    return Graph(g.num_nodes, g.edges, node_weights=node_w, edge_weights=edge_w)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_weighted_node_curvature_is_incident_edge_sum(seed):
-    g = _weighted_graph(seed)
-    assert not g.is_unweighted
-    expected = [sum(_substituted_curvature(g.edge_weights, g.node_weights, e)
+    expected = [sum(_substituted_curvature(edge_w, node_w, e)
                     for e in g.edges if v in e) for v in g.nodes]
-    cm = curvature_map(g)
-    all_nodes = node_curvatures(g)
+    cm = curvature_map(g, node_weights=node_w, edge_weights=edge_w)
     for v in g.nodes:
         want = pytest.approx(expected[v], rel=1e-12)
-        assert node_curvature(g, v) == want
-        assert all_nodes[v] == want
         assert cm.node_curvature[v] == want
     assert sum(cm.node_curvature.values()) == pytest.approx(
         2 * sum(cm.edge_curvature.values()), rel=1e-12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from riccialign import (
     GraphError,
     GraphMLError,
     curvature_laplacian_residual,
+    curvature_map,
     edge_curvature_unweighted,
     from_edge_list,
     labeled_signature_vector,
@@ -112,11 +115,11 @@ def _path3():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: Graph(3, [(0, 1), (1, 2)], node_weights={1.7: 2.0}),
+    lambda: curvature_map(_path3(), node_weights={1.7: 2.0}),
     lambda: _path3().induced_subgraph([1.7]),
     lambda: _path3().induced_subgraph([True, 2]),
-    lambda: Graph(3, [(0, 1), (1, 2)], edge_weights={(0.0, 1): 2.0}),
-    lambda: Graph(3, [(0, 1), (1, 2)], edge_weights={(True, 2): 2.0}),
+    lambda: curvature_map(_path3(), edge_weights={(0.0, 1): 2.0}),
+    lambda: curvature_map(_path3(), edge_weights={(True, 2): 2.0}),
     lambda: _path3().degree(1.5),
     lambda: _path3().degree(True),
     lambda: _path3().neighbors(1.0),
@@ -215,29 +218,22 @@ def test_induced_subgraph_chains_parent_labels():
     assert sub.original_labels == {0: "b", 1: "c"}
 
 
-def test_induced_subgraph_carries_weights():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
-              node_weights={0: 2.0, 1: 7.0, 2: 3.0, 4: 5.0},
-              edge_weights={(0, 1): 1.5, (2, 3): 2.5, (4, 0): 4.0, (3, 4): 6.0})
-    sub = g.induced_subgraph([4, 0, 2, 3])  # parent ids 0, 2, 3, 4 become 0..3
-    assert sub.edges == ((0, 3), (1, 2), (2, 3))
-    assert sub.node_weights == {0: 2.0, 1: 3.0, 3: 5.0}
-    assert sub.edge_weights == {(0, 3): 4.0, (1, 2): 2.5, (2, 3): 6.0}
-
-
 def test_weights_must_be_positive():
+    g = Graph(2, [(0, 1)])
     with pytest.raises(GraphError):
-        Graph(2, [(0, 1)], node_weights={0: 0.0})
+        curvature_map(g, node_weights={0: 0.0})
     with pytest.raises(GraphError):
-        Graph(2, [(0, 1)], edge_weights={(0, 1): -2.0})
+        curvature_map(g, edge_weights={(0, 1): -2.0})
     with pytest.raises(GraphError):
-        Graph(2, [(0, 1)], edge_weights={(0, 2): 1.0})
+        curvature_map(g, edge_weights={(0, 2): 1.0})
 
 
-def test_is_unweighted():
-    assert Graph(2, [(0, 1)]).is_unweighted
-    assert Graph(2, [(0, 1)], edge_weights={(0, 1): 1.0}).is_unweighted
-    assert not Graph(2, [(0, 1)], edge_weights={(0, 1): 2.0}).is_unweighted
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, "x", None])
+def test_weights_must_be_finite(w):
+    with pytest.raises(GraphError):
+        curvature_map(_path3(), edge_weights={(0, 1): w})
+    with pytest.raises(GraphError):
+        curvature_map(_path3(), node_weights={2: w})
 
 
 # -- GraphML ----------------------------------------------------------------

@@ -1,7 +1,6 @@
 import pytest
 
 from riccialign import (
-    Graph,
     GraphError,
     RngHandle,
     delete_edges_randomly,
@@ -119,15 +118,3 @@ def test_delete_edges_validates_probability(lifted_torus):
 def test_delete_edges_probability_must_be_a_number(lifted_torus, bad):
     with pytest.raises(GraphError):
         delete_edges_randomly(lifted_torus, bad, RngHandle(0))
-
-
-def test_delete_edges_carries_weights():
-    g = random_connected_graph(12, seed=4)
-    node_w = {v: 1.0 + v for v in g.nodes if v % 3}
-    edge_w = {(v, u): 2.0 + i for i, (u, v) in enumerate(g.edges)}
-    weighted = Graph(g.num_nodes, g.edges, node_weights=node_w, edge_weights=edge_w)
-    out = delete_edges_randomly(weighted, 0.5, RngHandle(3))
-    assert 0 < out.num_edges < g.num_edges
-    assert out.node_weights == weighted.node_weights
-    # every surviving edge keeps its weight, every deleted one drops out
-    assert out.edge_weights == {e: weighted.edge_weights[e] for e in out.edges}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from riccialign import (
-    Graph,
     GraphError,
     curvature_laplacian_holds,
     curvature_laplacian_residual,
@@ -69,14 +68,6 @@ def test_residual_k2():
 def test_residual_p3_middle_node():
     p3 = from_edge_list([(0, 1), (1, 2)])
     assert curvature_laplacian_residual(p3, 1) == 2 * 2 * (1 - 2) == -4
-
-
-def test_residual_rejects_weighted_graph():
-    g = Graph(2, [(0, 1)], edge_weights={(0, 1): 3.0})
-    with pytest.raises(GraphError):
-        curvature_laplacian_residual(g, 0)
-    with pytest.raises(GraphError):
-        curvature_laplacian_holds(g)
 
 
 def test_identity_on_random_connected_graphs():

@@ -3,7 +3,6 @@ from collections import Counter
 import pytest
 
 from riccialign import (
-    Graph,
     GraphError,
     TorusSpec,
     build_torus,
@@ -128,25 +127,6 @@ def test_triangulate_single_prism():
     out = triangulate_prisms(prism, [((0, 1, 2), (3, 4, 5))])
     assert out.num_edges == 12
     assert out.has_edge(0, 4) and out.has_edge(1, 5) and out.has_edge(2, 3)
-
-
-def test_lift_carries_weights_to_both_copies():
-    flat = Graph(3, [(0, 1), (1, 2)], node_weights={0: 2.0, 2: 3.0},
-                 edge_weights={(2, 1): 4.0})
-    lifted = lift_to_3d(flat)
-    assert lifted.node_weights == {0: 2.0, 2: 3.0, 3: 2.0, 5: 3.0}
-    # vertical edges (v, v + 3) stay unweighted
-    assert lifted.edge_weights == {(1, 2): 4.0, (4, 5): 4.0}
-
-
-def test_triangulate_carries_weights():
-    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
-                  node_weights={1: 2.0, 5: 3.0}, edge_weights={(1, 0): 4.0, (2, 5): 5.0})
-    out = triangulate_prisms(prism, [((0, 1, 2), (3, 4, 5))])
-    assert out.num_edges == 12
-    assert out.node_weights == {1: 2.0, 5: 3.0}
-    # the added diagonals (0, 4), (1, 5), (2, 3) are unweighted
-    assert out.edge_weights == {(0, 1): 4.0, (2, 5): 5.0}
 
 
 def _two_prisms():
