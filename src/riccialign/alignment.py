@@ -6,7 +6,9 @@ right, with m the common maximum degree of the graph pair. Degree mode (DMC)
 uses neighbor degrees; Ricci mode (RMC) swaps in the neighbors' Forman-Ricci
 node curvatures, which are exact integers. Row v belongs to node v; rows
 are compared by Euclidean distance and matched with an exact minimum-cost
-assignment solver.
+assignment solver. When both graphs have the same multiset of rows (G2 an
+unchanged or relabelled copy of G1), `align()` reads a zero-cost optimum off
+the sorted rows instead, without building the cost matrix.
 """
 
 from __future__ import annotations
@@ -163,15 +165,8 @@ def hungarian(cost) -> Assignment:
     return Assignment(mapping=dict(zip(row_of_col.tolist(), range(n))), total_cost=total)
 
 
-def alignment_cost(g1: Graph, g2: Graph, mode: str) -> np.ndarray:
-    """The shared front half of `align()`: signature rows and their costs.
-
-    Checks that the graphs have equal node counts and that mode is "degree"
-    or "ricci", builds both signature matrices at the common maximum degree
-    and returns their cost matrix (rows are g1 nodes, columns g2 nodes).
-    `align()` is `hungarian` on this matrix; callers that also need the
-    per-pair costs (the `rmc align` CSV) call the two halves themselves.
-    """
+def _signatures(g1: Graph, g2: Graph, mode: str) -> tuple[SignatureMatrix, SignatureMatrix]:
+    """Both signature matrices at the common maximum degree, after the input checks."""
     if g1.num_nodes != g2.num_nodes:
         raise GraphError(
             f"graphs must have equal node counts, got {g1.num_nodes} and {g2.num_nodes}")
@@ -179,16 +174,61 @@ def alignment_cost(g1: Graph, g2: Graph, mode: str) -> np.ndarray:
         raise GraphError(f"mode must be 'degree' or 'ricci', got {mode!r}")
     m = common_max_degree(g1, g2)
     build = degree_matrix if mode == "degree" else ricci_matrix
-    return cost_matrix(build(g1, m), build(g2, m))
+    return build(g1, m), build(g2, m)
+
+
+def alignment_cost(g1: Graph, g2: Graph, mode: str) -> np.ndarray:
+    """The cost matrix between the signature rows of two graphs.
+
+    Checks that the graphs have equal node counts and that mode is "degree"
+    or "ricci", builds both signature matrices at the common maximum degree
+    and returns their cost matrix (rows are g1 nodes, columns g2 nodes).
+    `hungarian` on this matrix gives an optimum of the same total cost as
+    `align()`; callers that also need the per-pair costs (the `rmc align`
+    CSV) call the two halves themselves.
+    """
+    return cost_matrix(*_signatures(g1, g2, mode))
+
+
+def _equal_rows_assignment(rows1: np.ndarray, rows2: np.ndarray) -> Assignment | None:
+    """The zero-cost assignment when both row sets are one multiset, else None.
+
+    Each int64 row is viewed as one np.void key, equal exactly when the rows
+    are. The k-th row of rows1 in stable key order goes to the k-th of rows2,
+    so every pair costs 0.0, which no assignment undercuts.
+    """
+    n, m = rows1.shape
+    if m == 0:  # a void view of size 0 drops the rows; empty rows are all equal
+        order1 = order2 = np.arange(n)
+    else:
+        a = np.ascontiguousarray(rows1, dtype=np.int64)
+        b = np.ascontiguousarray(rows2, dtype=np.int64)
+        # equal multisets have equal sums (mod 2^64): a cheap early no
+        if a.sum() != b.sum():
+            return None
+        key = np.dtype((np.void, 8 * m))
+        order1 = np.argsort(a.view(key).ravel(), kind="stable")
+        order2 = np.argsort(b.view(key).ravel(), kind="stable")
+        # int64 rows compare far faster than their void keys
+        if not np.array_equal(a[order1], b[order2]):
+            return None
+    dst = np.empty(n, dtype=np.int64)
+    dst[order1] = order2
+    return Assignment(mapping=dict(enumerate(dst.tolist())), total_cost=0.0)
 
 
 def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
-    """Full alignment: `hungarian` on `alignment_cost(g1, g2, mode)`.
+    """Full alignment: a minimum-cost assignment of g1's signature rows to g2's.
 
     The graphs must have the same node count; the returned mapping sends
-    g1 node ids to g2 node ids.
+    g1 node ids to g2 node ids. When the two row sets are the same multiset
+    the optimum (cost exactly 0.0) is read off the sorted rows, pairing ids
+    of equal rows in ascending order, so `align(g, g)` is the identity.
+    Otherwise it is `hungarian(alignment_cost(g1, g2, mode))`, mapping and
+    total bit for bit.
     """
-    return hungarian(alignment_cost(g1, g2, mode))
+    sig1, sig2 = _signatures(g1, g2, mode)
+    return _equal_rows_assignment(sig1.rows, sig2.rows) or hungarian(cost_matrix(sig1, sig2))
 
 
 def score_alignment(a: Assignment) -> tuple[int, float]:

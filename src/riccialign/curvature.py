@@ -43,9 +43,10 @@ def _edge_curvatures(g: Graph, node_weights=None, edge_weights=None) -> np.ndarr
     """Curvature of every edge, in ``g.edge_array`` order.
 
     int64 2 - deg(v1) - deg(v2) without weights. With weights (node id ->
-    weight, (u, v) in either orientation -> weight), the formula above
-    rearranged as w_v1 + w_v2 - sqrt(w_e) * (w_v1 * S_v1 + w_v2 * S_v2),
-    with S_x the sum of 1 / sqrt(w_f) over all edges f at x.
+    weight, (u, v) in either orientation but not both -> weight), the
+    formula above rearranged as
+    w_v1 + w_v2 - sqrt(w_e) * (w_v1 * S_v1 + w_v2 * S_v2), with S_x the sum
+    of 1 / sqrt(w_f) over all edges f at x.
     """
     n, ends = g.num_nodes, g.edge_array
     u, v = ends.T
@@ -55,7 +56,12 @@ def _edge_curvatures(g: Graph, node_weights=None, edge_weights=None) -> np.ndarr
     if node_weights:
         w_node[g.node_ids(node_weights.keys())] = _weights(node_weights)
     if edge_weights:
-        w_edge[g.edge_rows(edge_weights.keys())] = _weights(edge_weights)
+        rows = g.edge_rows(edge_weights.keys())
+        named, counts = np.unique(rows, return_counts=True)
+        if (counts > 1).any():  # (u, v) and (v, u) name one edge
+            edge = tuple(ends[named[counts.argmax()]].tolist())
+            raise GraphError(f"edge {edge} is given more than one weight")
+        w_edge[rows] = _weights(edge_weights)
     s = np.bincount(ends.ravel(), np.repeat(1 / np.sqrt(w_edge), 2), minlength=n)
     return w_node[u] + w_node[v] - np.sqrt(w_edge) * (w_node[u] * s[u] + w_node[v] * s[v])
 
@@ -98,8 +104,8 @@ def curvature_map(g: Graph, node_weights=None, edge_weights=None) -> CurvatureMa
     Without weights the values are ints. `node_weights` maps node ids and
     `edge_weights` maps edges, given as (u, v) in either orientation, to
     finite positive weights; any weight given makes every value a float of
-    the weighted form, with absent weights 1. Bad keys or weights raise
-    GraphError.
+    the weighted form, with absent weights 1. Bad keys or weights, and an
+    edge given in both orientations, raise GraphError.
     """
     edge_c = _edge_curvatures(g, node_weights, edge_weights)
     return CurvatureMap(edge_curvature=dict(zip(g.edges, edge_c.tolist())),

@@ -141,8 +141,8 @@ def test_ppi_reproduction(ppi_graphml):
 
 def test_perturbation_sanity(ppi_graphml):
     with criterion("zero-deletion identity and deletion-rate expectation"):
-        # p = 0: G2 equals G1, the signature matrices coincide, and on these
-        # rounds the solver picks the identity among the zero-cost optima
+        # p = 0: G2 equals G1, the signature matrices coincide, and align()
+        # pairs equal rows in ascending id order, so it returns the identity
         cfg = ExperimentConfig(input_path=str(ppi_graphml),
                                intermediate_sample_size=1000, subgraph_size=500,
                                deletion_probability=0.0, rounds=3, seed=0,

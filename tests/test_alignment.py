@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccialign import (
+    Assignment,
     Graph,
     GraphError,
     SignatureMatrix,
     align,
+    alignment_cost,
     common_max_degree,
     cost_matrix,
     degree_matrix,
@@ -334,11 +336,92 @@ def test_align_torus_pair_maps_hole_to_hole(lifted_torus):
 def test_align_rejects_unequal_sizes():
     with pytest.raises(GraphError):
         align(star(3), star(4))
+    with pytest.raises(GraphError):  # width 0: every row is empty, and equal
+        align(from_edge_list([], n=2), from_edge_list([], n=3))
 
 
 def test_align_rejects_unknown_mode(lifted_torus):
     with pytest.raises(GraphError):
         align(lifted_torus, lifted_torus, mode="spectral")
+    with pytest.raises(GraphError):
+        align(from_edge_list([], n=2), from_edge_list([], n=2), mode="spectral")
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    perm = np.random.default_rng(seed).permutation(g.num_nodes).tolist()
+    return Graph(g.num_nodes, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_align_equal_row_multisets_skip_the_cost_matrix_and_solver(monkeypatch):
+    import riccialign.alignment as alignment
+
+    def unexpected(*args):
+        raise AssertionError("equal row multisets need no cost matrix or solver")
+
+    monkeypatch.setattr(alignment, "cost_matrix", unexpected)
+    monkeypatch.setattr(alignment, "hungarian", unexpected)
+    g = random_connected_graph(60, seed=3)
+    for mode in ("degree", "ricci"):
+        assert align(g, relabelled(g, 0), mode=mode).total_cost == 0.0
+        assert align(g, g, mode=mode).mapping == {v: v for v in g.nodes}
+    # same degree sequence, different graphs: the degree rows still coincide
+    cycle = from_edge_list([(i, (i + 1) % 6) for i in range(6)])
+    triangles = from_edge_list(K3 + [(3, 4), (3, 5), (4, 5)])
+    assert align(cycle, triangles, mode="degree").total_cost == 0.0
+
+
+def test_align_edge_cases_without_a_cost_matrix():
+    empty = Graph(0, [])
+    assert align(empty, empty) == Assignment(mapping={}, total_cost=0.0)
+    edgeless = from_edge_list([], n=4)
+    for mode in ("degree", "ricci"):
+        assert align(edgeless, edgeless, mode=mode) == \
+            Assignment(mapping={v: v for v in range(4)}, total_cost=0.0)
+
+
+def test_equal_rows_assignment_compares_multisets_not_sums():
+    from riccialign.alignment import _equal_rows_assignment
+
+    rows1 = np.array([[1, 3], [2, 2]])
+    rows2 = np.array([[1, 2], [2, 3]])  # equal total, equal column sums
+    assert rows1.sum() == rows2.sum() and (rows1.sum(axis=0) == rows2.sum(axis=0)).all()
+    assert _equal_rows_assignment(rows1, rows2) is None
+    assert _equal_rows_assignment(rows1, rows1[::-1]).mapping == {0: 1, 1: 0}
+    # tied rows pair in ascending id order on both sides
+    tied = np.array([[5, 0], [1, 1], [5, 0], [1, 1]])
+    assert _equal_rows_assignment(tied, tied[[1, 0, 3, 2]]).mapping == \
+        {0: 1, 1: 0, 2: 3, 3: 2}
+
+
+def test_align_falls_back_to_hungarian_when_multisets_differ():
+    # P5 and K3 + K2 share the degree sequence, so their degree rows have
+    # equal sums, but the rows differ: [2, 0] vs [1, 0] at the ends
+    path = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4)])
+    split = from_edge_list(K3 + [(3, 4)])
+    for g1, g2 in ((path, split), (random_connected_graph(40, seed=1),
+                                   random_connected_graph(40, seed=2))):
+        for mode in ("degree", "ricci"):
+            result = align(g1, g2, mode=mode)
+            solved = hungarian(alignment_cost(g1, g2, mode))
+            assert result.mapping == solved.mapping
+            assert result.total_cost.hex() == solved.total_cost.hex()
+            assert result.total_cost > 0.0
+
+
+def test_align_peak_memory_on_equal_multisets_is_below_the_cost_matrix():
+    # an n x n float64 cost matrix alone would take n * n * 8 bytes
+    n = 1000
+    pairs = np.random.default_rng(0).integers(0, n, size=(5 * n, 2)).tolist()
+    g = Graph(n, [(u, v) for u, v in pairs if u != v])
+    h = relabelled(g, 1)
+    tracemalloc.start()
+    try:
+        result = align(g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.total_cost == 0.0
+    assert peak < 0.5 * n * n * 8
 
 
 def test_score_alignment():

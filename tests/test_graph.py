@@ -236,6 +236,18 @@ def test_weights_must_be_finite(w):
         curvature_map(_path3(), node_weights={2: w})
 
 
+@pytest.mark.parametrize("weights", [{(0, 1): 2.0, (1, 0): 3.0},
+                                     {(1, 0): 3.0, (0, 1): 2.0},
+                                     {(1, 2): 1.0, (2, 1): 1.0}])
+def test_edge_weight_given_in_both_orientations_raises(weights):
+    # one edge row named twice would keep whichever weight came last
+    with pytest.raises(GraphError, match="more than one weight"):
+        curvature_map(_path3(), edge_weights=weights)
+    one_each = {(1, 0): 3.0, (1, 2): 2.0}
+    assert curvature_map(_path3(), edge_weights=one_each) == \
+        curvature_map(_path3(), edge_weights={(0, 1): 3.0, (2, 1): 2.0})
+
+
 # -- GraphML ----------------------------------------------------------------
 
 MINIMAL_GRAPHML = """<?xml version="1.0"?>

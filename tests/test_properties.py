@@ -2,7 +2,8 @@
 
 Each reference is the plain loop over tuples and sets that the vectorised
 code replaces. The integer results must agree exactly, and the seeded
-sampling functions must make the same draws.
+sampling functions must make the same draws. `align()` is checked against
+`hungarian` and against what a zero-cost optimum must satisfy.
 """
 
 import numpy as np
@@ -14,10 +15,13 @@ from riccialign import (
     Graph,
     GraphError,
     RngHandle,
+    align,
+    alignment_cost,
     curvature_laplacian_residual,
     degree_matrix,
     delete_edges_randomly,
     edge_pair_count,
+    hungarian,
     labeled_signature_vector,
     laplacian,
     line_graph,
@@ -32,9 +36,9 @@ property_test = settings(deadline=None, max_examples=60)
 
 
 @st.composite
-def edge_lists(draw, max_nodes=12):
+def edge_lists(draw, max_nodes=12, min_nodes=2):
     """(n, pairs): pairs may repeat and come in either orientation."""
-    n = draw(st.integers(2, max_nodes))
+    n = draw(st.integers(min_nodes, max_nodes))
     node = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
     return n, [(u, v) for u, v in pairs if u != v]
@@ -194,3 +198,54 @@ def test_curvature_laplacian_identity_on_random_graphs(data):
         residual = curvature_laplacian_residual(g, v)
         assert residual == 2 * d * (1 - d)
         assert residual == node_curvature(g, v) - lap[v] @ labeled_signature_vector(g, v)
+
+
+MODES = st.sampled_from(["degree", "ricci"])
+
+
+def signature_rows(g, m, mode):
+    return (degree_matrix if mode == "degree" else ricci_matrix)(g, m).rows
+
+
+@property_test
+@given(edge_lists(), st.randoms(use_true_random=False), MODES)
+def test_align_relabelled_copy_pairs_equal_rows_at_zero_cost(data, rnd, mode):
+    n, pairs = data
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    g = Graph(n, pairs)
+    h = Graph(n, [(perm[u], perm[v]) for u, v in pairs])
+    result = align(g, h, mode=mode)
+    assert sorted(result.mapping) == list(range(n))
+    assert sorted(result.mapping.values()) == list(range(n))
+    m = g.max_degree()
+    rows_g, rows_h = signature_rows(g, m, mode), signature_rows(h, m, mode)
+    for v, w in result.mapping.items():
+        assert rows_g[v].tolist() == rows_h[w].tolist()
+    assert result.total_cost == 0.0
+
+
+@property_test
+@given(edge_lists(), MODES)
+def test_align_graph_with_itself_is_the_identity(data, mode):
+    n, pairs = data
+    g = Graph(n, pairs)
+    assert align(g, g, mode=mode).mapping == {v: v for v in range(n)}
+
+
+@property_test
+@given(st.integers(2, 12).flatmap(
+    lambda n: st.tuples(edge_lists(n, min_nodes=n), edge_lists(n, min_nodes=n))), MODES)
+def test_align_is_hungarian_unless_the_row_multisets_match(data, mode):
+    (n, pairs1), (_, pairs2) = data
+    g1, g2 = Graph(n, pairs1), Graph(n, pairs2)
+    result = align(g1, g2, mode=mode)
+    solved = hungarian(alignment_cost(g1, g2, mode))
+    m = max(g1.max_degree(), g2.max_degree())
+    rows1, rows2 = signature_rows(g1, m, mode), signature_rows(g2, m, mode)
+    if sorted(map(tuple, rows1.tolist())) != sorted(map(tuple, rows2.tolist())):
+        assert result.mapping == solved.mapping
+        assert result.total_cost.hex() == solved.total_cost.hex()
+    else:
+        assert solved.total_cost == result.total_cost == 0.0
+        assert all(rows1[v].tolist() == rows2[w].tolist() for v, w in result.mapping.items())
