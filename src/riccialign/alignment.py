@@ -13,7 +13,7 @@ the sorted rows instead, without building the cost matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +49,16 @@ class SignatureMatrix:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A bijective node mapping between two graphs and its total cost."""
+    """A bijective node mapping between two graphs and its total cost.
+
+    row_costs[v], when filled, is the cost of the pair (v, mapping[v]). It is
+    left out of equality, so a hand-built Assignment without it compares by
+    mapping and total.
+    """
 
     mapping: dict
     total_cost: float
+    row_costs: tuple = field(default=(), compare=False)
 
 
 def common_max_degree(g1: Graph, g2: Graph) -> int:
@@ -145,7 +151,8 @@ def hungarian(cost) -> Assignment:
     method (Crouse, IEEE TAES 2016). It is deterministic for a given
     matrix; which of several equal-cost optima it returns is scipy's
     choice. Requires finite nonnegative entries. `total_cost` adds the
-    chosen entries one after another in ascending column order.
+    chosen entries one after another in ascending column order;
+    `row_costs` lists them by row.
     """
     # imported here: scipy.optimize more than triples `import riccialign`
     from scipy.optimize import linear_sum_assignment
@@ -162,32 +169,8 @@ def hungarian(cost) -> Assignment:
     _, cols = linear_sum_assignment(c)  # rows come back as 0..n-1
     row_of_col = np.argsort(cols)
     total = float(np.cumsum(c[row_of_col, np.arange(n)])[-1]) if n else 0.0
-    return Assignment(mapping=dict(zip(row_of_col.tolist(), range(n))), total_cost=total)
-
-
-def _signatures(g1: Graph, g2: Graph, mode: str) -> tuple[SignatureMatrix, SignatureMatrix]:
-    """Both signature matrices at the common maximum degree, after the input checks."""
-    if g1.num_nodes != g2.num_nodes:
-        raise GraphError(
-            f"graphs must have equal node counts, got {g1.num_nodes} and {g2.num_nodes}")
-    if mode not in ("degree", "ricci"):
-        raise GraphError(f"mode must be 'degree' or 'ricci', got {mode!r}")
-    m = common_max_degree(g1, g2)
-    build = degree_matrix if mode == "degree" else ricci_matrix
-    return build(g1, m), build(g2, m)
-
-
-def alignment_cost(g1: Graph, g2: Graph, mode: str) -> np.ndarray:
-    """The cost matrix between the signature rows of two graphs.
-
-    Checks that the graphs have equal node counts and that mode is "degree"
-    or "ricci", builds both signature matrices at the common maximum degree
-    and returns their cost matrix (rows are g1 nodes, columns g2 nodes).
-    `hungarian` on this matrix gives an optimum of the same total cost as
-    `align()`; callers that also need the per-pair costs (the `rmc align`
-    CSV) call the two halves themselves.
-    """
-    return cost_matrix(*_signatures(g1, g2, mode))
+    return Assignment(mapping=dict(zip(row_of_col.tolist(), range(n))), total_cost=total,
+                      row_costs=tuple(c[np.arange(n), cols].tolist()))
 
 
 def _equal_rows_assignment(rows1: np.ndarray, rows2: np.ndarray) -> Assignment | None:
@@ -214,7 +197,8 @@ def _equal_rows_assignment(rows1: np.ndarray, rows2: np.ndarray) -> Assignment |
             return None
     dst = np.empty(n, dtype=np.int64)
     dst[order1] = order2
-    return Assignment(mapping=dict(enumerate(dst.tolist())), total_cost=0.0)
+    return Assignment(mapping=dict(enumerate(dst.tolist())), total_cost=0.0,
+                      row_costs=(0.0,) * n)
 
 
 def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
@@ -224,10 +208,17 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
     g1 node ids to g2 node ids. When the two row sets are the same multiset
     the optimum (cost exactly 0.0) is read off the sorted rows, pairing ids
     of equal rows in ascending order, so `align(g, g)` is the identity.
-    Otherwise it is `hungarian(alignment_cost(g1, g2, mode))`, mapping and
-    total bit for bit.
+    Otherwise it is `hungarian(cost_matrix(sig1, sig2))` on both signature
+    matrices at the common maximum degree, mapping and total bit for bit.
     """
-    sig1, sig2 = _signatures(g1, g2, mode)
+    if g1.num_nodes != g2.num_nodes:
+        raise GraphError(
+            f"graphs must have equal node counts, got {g1.num_nodes} and {g2.num_nodes}")
+    if mode not in ("degree", "ricci"):
+        raise GraphError(f"mode must be 'degree' or 'ricci', got {mode!r}")
+    m = common_max_degree(g1, g2)
+    build = degree_matrix if mode == "degree" else ricci_matrix
+    sig1, sig2 = build(g1, m), build(g2, m)
     return _equal_rows_assignment(sig1.rows, sig2.rows) or hungarian(cost_matrix(sig1, sig2))
 
 
@@ -239,12 +230,12 @@ def score_alignment(a: Assignment) -> tuple[int, float]:
     return correct, 100.0 * correct / len(a.mapping)
 
 
-def write_assignment_csv(a: Assignment, cost, path) -> None:
-    """Write `g1_node,g2_node,row_cost` lines in g1 node order."""
-    c = np.asarray(cost, dtype=np.float64)
-    path = Path(path)
-    with path.open("w") as fh:
+def write_assignment_csv(a: Assignment, path) -> None:
+    """Write `g1_node,g2_node,row_cost` lines in g1 node order from `a.row_costs`."""
+    if len(a.row_costs) != len(a.mapping):
+        raise GraphError(f"assignment has {len(a.row_costs)} row costs "
+                         f"for {len(a.mapping)} pairs")
+    with Path(path).open("w") as fh:
         fh.write("g1_node,g2_node,row_cost\n")
         for src in sorted(a.mapping):
-            dst = a.mapping[src]
-            fh.write(f"{src},{dst},{c[src, dst]}\n")
+            fh.write(f"{src},{a.mapping[src]},{a.row_costs[src]}\n")

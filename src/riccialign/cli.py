@@ -9,10 +9,10 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .alignment import MODES, alignment_cost, hungarian, score_alignment, \
-    write_assignment_csv
+from .alignment import MODES, align, score_alignment, write_assignment_csv
 from .curvature import write_distribution_csv
 from .experiments import (
+    REPORT_FORMATS,
     ExperimentConfig,
     ExperimentError,
     emit_report,
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         ppi.add_argument(f"--{key}", type=cast, help=f"{text} (default {defaults[field]})",
                          choices=tuple(MODES) if key == "mode" else None)
     ppi.add_argument("--out", help="report output path")
-    ppi.add_argument("--format", choices=("json", "csv", "markdown"),
+    ppi.add_argument("--format", choices=REPORT_FORMATS,
                      help="report format (default json)")
 
     cle = sub.add_parser("verify-cle", help="check the curvature-Laplacian identity")
@@ -109,6 +109,9 @@ def _cmd_ppi(args) -> int:
                      if getattr(args, key) is not None})
     if not settings.get("input"):
         raise SystemExit("an input graph is required (--input or config input=)")
+    fmt = settings.get("format", "json")
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
 
     cfg = ExperimentConfig(
         input_path=str(settings["input"]),
@@ -121,7 +124,7 @@ def _cmd_ppi(args) -> int:
     print(f"mean percentage: {report.mean_percentage:g}%")
     out = settings.get("out")
     if out:
-        emit_report(report, out, fmt=settings.get("format", "json"))
+        emit_report(report, out, fmt=fmt)
         print(f"report written to {out}")
     return 0
 
@@ -140,9 +143,8 @@ def _cmd_verify_cle(args) -> int:
 def _cmd_align(args) -> int:
     g1 = load_graph(args.g1)
     g2 = load_graph(args.g2)
-    cost = alignment_cost(g1, g2, MODES[args.mode])
-    result = hungarian(cost)
-    write_assignment_csv(result, cost, args.out)
+    result = align(g1, g2, MODES[args.mode])
+    write_assignment_csv(result, args.out)
     correct, pct = score_alignment(result)
     print(f"aligned {g1.num_nodes} nodes, total cost {result.total_cost:g}")
     print(f"fixed points: {correct} ({pct:g}%)")
@@ -160,7 +162,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, ExperimentError, FileNotFoundError) as exc:
+    except (ValueError, ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

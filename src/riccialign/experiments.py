@@ -13,19 +13,17 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ._version import __version__
 from .graph import Graph, GraphError, _integers, load_graphml, read_edge_list
-from .curvature import node_curvatures
+from .curvature import curvature_distribution, node_curvatures
 from .tessellation import triangular_ring_2d, lift_to_3d
 from .spectral import curvature_laplacian_holds
 from .linegraph import line_graph
 from .sampling import RngHandle, _check_probability, random_walk_sample, delete_edges_randomly
-from .alignment import MODES, SignatureMatrix, _signature_rows, align, cost_matrix, \
-    hungarian, score_alignment
+from .alignment import MODES, align, ricci_matrix, score_alignment
 
 
 class ExperimentError(RuntimeError):
@@ -133,16 +131,16 @@ def run_torus_experiment() -> TorusReport:
     """
     torus = lift_to_3d(triangular_ring_2d())
     curvatures = node_curvatures(torus)
-    distribution = tuple(sorted(Counter(curvatures).items()))
+    distribution = tuple(curvature_distribution(torus))
     values, sizes = zip(*distribution)
 
-    sig = SignatureMatrix(_signature_rows(torus, torus.max_degree(), curvatures), "ricci")
+    rows = ricci_matrix(torus, torus.max_degree()).rows
     class_of = dict(zip(values, "ABC"))
     row_forms = {}
     for v in torus.nodes:
-        row_forms.setdefault(class_of[curvatures[v]], tuple(sig.rows[v].tolist()))
+        row_forms.setdefault(class_of[curvatures[v]], tuple(rows[v].tolist()))
 
-    result = hungarian(cost_matrix(sig, sig))
+    result = align(torus, torus)
     a_nodes = [v for v in torus.nodes if curvatures[v] == values[0]]
     hits = sum(1 for v in a_nodes if curvatures[result.mapping[v]] == values[0])
     rate = 100.0 * hits / len(a_nodes)
@@ -202,8 +200,13 @@ def run_ppi_experiment(cfg: ExperimentConfig, source: Graph | None = None) -> Ex
 
 # -- report emission ----------------------------------------------------------
 
+REPORT_FORMATS = ("json", "csv", "markdown")
+
+
 def emit_report(report: ExperimentReport, path, fmt: str = "json") -> None:
     """Serialize a report as json, csv (`round,correct,percentage`) or markdown."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
     path = Path(path)
     if fmt == "json":
         path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -212,15 +215,13 @@ def emit_report(report: ExperimentReport, path, fmt: str = "json") -> None:
         lines += [f"{r.round_index},{r.correct},{r.percentage:g}"
                   for r in report.per_round]
         path.write_text("\n".join(lines) + "\n")
-    elif fmt == "markdown":
+    else:
         lines = ["| Round | Absolute Node Count | Percentage |",
                  "| --- | --- | --- |"]
         lines += [f"| {r.round_index} | {r.correct} | {r.percentage:g}% |"
                   for r in report.per_round]
         lines.append(f"\nMean percentage: {report.mean_percentage:g}%")
         path.write_text("\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
 
 
 # -- curvature-Laplacian verification -----------------------------------------

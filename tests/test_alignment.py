@@ -14,7 +14,6 @@ from riccialign import (
     GraphError,
     SignatureMatrix,
     align,
-    alignment_cost,
     common_max_degree,
     cost_matrix,
     degree_matrix,
@@ -402,7 +401,9 @@ def test_align_falls_back_to_hungarian_when_multisets_differ():
                                    random_connected_graph(40, seed=2))):
         for mode in ("degree", "ricci"):
             result = align(g1, g2, mode=mode)
-            solved = hungarian(alignment_cost(g1, g2, mode))
+            build = degree_matrix if mode == "degree" else ricci_matrix
+            m = common_max_degree(g1, g2)
+            solved = hungarian(cost_matrix(build(g1, m), build(g2, m)))
             assert result.mapping == solved.mapping
             assert result.total_cost.hex() == solved.total_cost.hex()
             assert result.total_cost > 0.0
@@ -455,6 +456,19 @@ def test_signature_locality_under_added_component(example_graph):
 def test_write_assignment_csv(tmp_path):
     c = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = hungarian(c)
+    assert a.row_costs == (0.0, 0.0)
     path = tmp_path / "assignment.csv"
-    write_assignment_csv(a, c, path)
+    write_assignment_csv(a, path)
     assert path.read_text() == "g1_node,g2_node,row_cost\n0,0,0.0\n1,1,0.0\n"
+    # without row costs there is nothing to write
+    with pytest.raises(GraphError):
+        write_assignment_csv(Assignment(mapping={0: 0}, total_cost=0.0), path)
+
+
+def test_row_costs_list_each_pairs_cost():
+    c = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
+    a = hungarian(c)
+    assert a.row_costs == tuple(c[v, w] for v, w in sorted(a.mapping.items()))
+    assert sum(a.row_costs) == a.total_cost
+    g = random_connected_graph(30, seed=4)
+    assert align(g, relabelled(g, 2)).row_costs == (0.0,) * 30

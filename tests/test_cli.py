@@ -1,10 +1,11 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from riccialign import Graph, align, alignment_cost, from_edge_list, hungarian, \
-    write_edge_list
+from riccialign import Graph, align, common_max_degree, cost_matrix, degree_matrix, \
+    from_edge_list, hungarian, ricci_matrix, write_edge_list
 from riccialign.alignment import MODES
 from riccialign.cli import main, read_config_file
 from riccialign.experiments import ExperimentConfig
@@ -56,7 +57,9 @@ def test_align_command_matches_library(capsys, tmp_path, lifted_torus, mode):
     assert main(["align", "--mode", mode, "--g1", str(paths[0]),
                  "--g2", str(paths[1]), "--out", str(out)]) == 0
 
-    cost = alignment_cost(g1, g2, MODES[mode])
+    build = ricci_matrix if mode == "rmc" else degree_matrix
+    m = common_max_degree(g1, g2)
+    cost = cost_matrix(build(g1, m), build(g2, m))
     expected = hungarian(cost)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert {int(src): int(dst) for src, dst, _ in rows} == expected.mapping
@@ -64,6 +67,30 @@ def test_align_command_matches_library(capsys, tmp_path, lifted_torus, mode):
                                             sorted(expected.mapping.items())]
     total = align(g1, g2, MODES[mode]).total_cost
     assert f"total cost {total:g}\n" in capsys.readouterr().out
+
+
+def test_align_command_on_a_relabelled_copy_builds_no_cost_matrix(
+        capsys, tmp_path, monkeypatch, lifted_torus):
+    import riccialign.alignment as alignment
+
+    def unexpected(*args):
+        raise AssertionError("equal row multisets need no cost matrix or solver")
+
+    monkeypatch.setattr(alignment, "cost_matrix", unexpected)
+    monkeypatch.setattr(alignment, "hungarian", unexpected)
+    perm = np.random.default_rng(5).permutation(lifted_torus.num_nodes).tolist()
+    copy = Graph(lifted_torus.num_nodes, [(perm[u], perm[v]) for u, v in lifted_torus.edges])
+    paths = tmp_path / "g1.edges", tmp_path / "g2.edges"
+    write_edge_list(lifted_torus, paths[0])
+    write_edge_list(copy, paths[1])
+    out = tmp_path / "assignment.csv"
+    for mode in MODES:
+        assert main(["align", "--mode", mode, "--g1", str(paths[0]),
+                     "--g2", str(paths[1]), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == lifted_torus.num_nodes
+        assert all(cost == "0.0" for *_, cost in rows)
+        assert "total cost 0\n" in capsys.readouterr().out
 
 
 def test_align_command_rejects_size_mismatch(tmp_path, capsys):
@@ -151,6 +178,32 @@ def test_domain_errors_exit_cleanly(capsys, tmp_path, tiny_graphml):
     assert "error:" in capsys.readouterr().err
     assert main(["align", "--mode", "dmc", "--g1", "missing.edges",
                  "--g2", "missing.edges", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_align_command_reports_a_directory_input(capsys, tmp_path):
+    g = tmp_path / "g.edges"
+    write_edge_list(from_edge_list([(0, 1)]), g)
+    out = tmp_path / "x.csv"
+    assert main(["align", "--mode", "dmc", "--g1", str(tmp_path), "--g2", str(g),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_torus_command_reports_a_directory_output(capsys, tmp_path):
+    assert main(["torus", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_ppi_command_checks_the_config_format_before_any_round(capsys, tmp_path, tiny_graphml):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input={tiny_graphml}\nrounds=2\nsize=50\nintermediate=100\n"
+                   f"out={tmp_path / 'report.xml'}\nformat=xml\n")
+    assert main(["ppi", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "round" not in captured.out
+    assert captured.err == "error: unknown report format 'xml'\n"
+    assert not (tmp_path / "report.xml").exists()
 
 
 def test_version_flag(capsys):

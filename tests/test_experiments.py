@@ -39,6 +39,27 @@ def test_torus_experiment_row_forms():
     assert report.distribution == ((-56, 12), (-40, 12), (-28, 12))
 
 
+def test_torus_experiment_builds_no_cost_matrix(monkeypatch):
+    # the torus is aligned with itself: equal row multisets, paired by sorting
+    import riccialign.alignment as alignment
+    import riccialign.experiments as experiments
+
+    def unexpected(*args):
+        raise AssertionError("equal row multisets need no cost matrix or solver")
+
+    expected = run_torus_experiment()
+    for module in (alignment, experiments):  # also any name bound by import
+        monkeypatch.setattr(module, "cost_matrix", unexpected, raising=False)
+        monkeypatch.setattr(module, "hungarian", unexpected, raising=False)
+    report = run_torus_experiment()
+    assert report.to_dict() == expected.to_dict()
+    assert report.class_curvatures == (-56, -40, -28)
+    assert report.row_forms["A"] == (-56, -56, -56, -40, -40, -28)
+    assert report.distribution == ((-56, 12), (-40, 12), (-28, 12))
+    assert report.hole_alignment_rate == 100.0
+    assert report.total_cost == 0.0
+
+
 def test_torus_report_serializes():
     payload = run_torus_experiment().to_dict()
     assert payload["class_sizes"] == [12, 12, 12]

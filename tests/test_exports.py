@@ -20,3 +20,10 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c",
                     "import riccialign, sys; assert 'scipy' not in sys.modules"],
                    env=env, check=True, timeout=60)
+
+
+def test_readme_quick_start_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(readme), "exec"), {})
