@@ -69,15 +69,20 @@ def common_max_degree(g1: Graph, g2: Graph) -> int:
 def _signature_rows(g: Graph, m: int, features) -> np.ndarray:
     if m < g.max_degree():
         raise GraphError(f"width {m} is below the maximum degree {g.max_degree()}")
-    deg = g.degrees
-    owner = np.repeat(np.arange(g.num_nodes), deg)
+    n, deg = g.num_nodes, g.degrees
     vals = np.asarray(features, dtype=np.int64)[g.indices]
-    # pad with the largest value so that sorting a row leaves the node's own
-    # values in its first deg(v) slots; the padding is zeroed afterwards
-    rows = np.full((g.num_nodes, m), vals.max(initial=0), dtype=np.int64)
-    rows[owner, np.arange(len(owner)) - g.indptr[owner]] = vals
-    rows.sort(axis=1)
-    rows[np.arange(m) >= deg[:, None]] = 0
+    low = int(vals.min(initial=0))
+    span = int(vals.max(initial=0)) - low + 1
+    if n * span >= 2 ** 63:
+        raise GraphError("signature features span too wide a range for int64 sort keys")
+    # one sort of the keys owner * span + (value - low) sorts every row at
+    # once; owners stay ascending, so the sorted keys are still in CSR order
+    base = np.repeat(np.arange(n) * span, deg)
+    keys = np.sort(base + (vals - low))
+    # CSR entry i goes to slot i - indptr[owner] of its owner's row
+    flat = np.arange(len(vals)) + np.repeat(np.arange(n) * m - g.indptr[:-1], deg)
+    rows = np.zeros((n, m), dtype=np.int64)
+    rows.reshape(-1)[flat] = keys - base + low
     return rows
 
 

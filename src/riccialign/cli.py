@@ -117,12 +117,17 @@ def _cmd_ppi(args) -> int:
         input_path=str(settings["input"]),
         **{field: cast(settings[key]) for key, (field, cast, _) in _PPI_FIELDS.items()
            if key in settings})
+    out = settings.get("out")
+    if out:  # an unwritable path fails now, not after the last round
+        existed = Path(out).exists()
+        Path(out).open("a").close()
+        if not existed:
+            Path(out).unlink()
     report = run_ppi_experiment(cfg)
     for r in report.per_round:
         print(f"round {r.round_index}: {r.correct} correct "
               f"({r.percentage:g}%) in {r.seconds:.2f}s")
     print(f"mean percentage: {report.mean_percentage:g}%")
-    out = settings.get("out")
     if out:
         emit_report(report, out, fmt=fmt)
         print(f"report written to {out}")

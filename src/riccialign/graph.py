@@ -10,6 +10,11 @@ holds every edge once as a canonical (min, max) row, sorted
 lexicographically. The arrays are built with numpy sorts rather than
 per-edge Python objects, so every layer can work on them vectorised, and a
 fixed edge order keeps every downstream matrix row order reproducible.
+
+Graphs derived from a valid Graph (``induced_subgraph``, the edges kept by
+``delete_edges_randomly``) skip the constructor's checks and full sort: their
+entries come out of the parent's arrays in CSR order, or as two sorted runs
+that one stable sort merges, and the constructor's own helper stores them.
 """
 
 from __future__ import annotations
@@ -107,17 +112,22 @@ class Graph:
         # CSR order, and dropping repeats removes duplicate edges
         keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        rows, cols = np.divmod(keys, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self._store(n, *np.divmod(keys, n), original_labels)
+
+    def _store(self, n: int, rows, cols, original_labels) -> "Graph":
+        """Set every field from the (row, col) entries of both edge directions,
+        given in CSR order (row-major, no repeats): nothing here checks them."""
+        self.num_nodes = n
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
         forward = rows < cols
-        self.indptr = indptr
         self.indices = cols
         self.edge_array = np.column_stack((rows[forward], cols[forward]))
         for a in (self.indptr, self.indices, self.edge_array):
             a.flags.writeable = False
         self._edges = None
         self.original_labels = dict(original_labels) if original_labels else None
+        return self
 
     # -- basic accessors ---------------------------------------------------
 
@@ -231,13 +241,22 @@ class Graph:
         slots = self._row_slots(kept)
         src = np.repeat(np.arange(len(kept)), self.indptr[kept + 1] - self.indptr[kept])
         dst = new_id[self.indices[slots]]
-        inside = src < dst
-        sub_edges = np.column_stack((src[inside], dst[inside]))
+        # new ids keep the parent order, so the kept entries are in CSR order;
+        # on such scattered masks, indices gather faster than a boolean mask
+        inside = np.flatnonzero(dst >= 0)
 
         parent = self.original_labels or {}
         labels = {i: parent[v] if v in parent else str(v)
                   for i, v in enumerate(kept.tolist())}
-        return Graph(len(kept), sub_edges, original_labels=labels)
+        return Graph.__new__(Graph)._store(len(kept), src[inside], dst[inside], labels)
+
+    def _keep_edges(self, keep: np.ndarray) -> "Graph":
+        """Same nodes and labels, only the edges where the boolean `keep` is set."""
+        n = self.num_nodes
+        u, v = np.compress(keep, self.edge_array, axis=0).T
+        # the (u, v) keys are sorted already; the stable sort merges two runs
+        keys = np.sort(np.concatenate((u * n + v, np.sort(v * n + u))), kind="stable")
+        return Graph.__new__(Graph)._store(n, *np.divmod(keys, n), self.original_labels)
 
     # -- dunder ------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 All randomness flows through an explicit RngHandle; nothing touches global
 RNG state, so a seed fully determines every sample and each experiment round
-can own an independent handle.
+can own an independent handle. The edge deletion draws all its uniforms in
+one numpy call from the handle's own Mersenne Twister state.
 """
 
 from __future__ import annotations
@@ -102,9 +103,17 @@ def _check_probability(p) -> None:
 def delete_edges_randomly(g: Graph, p: float, rng: RngHandle) -> Graph:
     """Drop each edge independently with probability p; nodes are untouched.
 
-    Edges are drawn in canonical order, so the handle's seed pins the result.
+    Edge i of the canonical order is kept when the i-th uniform is >= p.
+    numpy's MT19937 makes a double from two 32-bit words as CPython's
+    `random()` does, so one numpy draw on the handle's own Mersenne Twister
+    state gives the uniforms, and leaves the state, of one call per edge.
     """
     _check_probability(p)
-    draw = rng.generator.random
-    kept = np.array([draw() for _ in range(g.num_edges)]) >= p
-    return Graph(g.num_nodes, g.edge_array[kept], original_labels=g.original_labels)
+    version, internal, gauss_next = rng.generator.getstate()
+    bits = np.random.MT19937(0)  # the seed's state is replaced at once
+    key = np.array(internal[:-1], dtype=np.uint32)
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
+    draws = np.random.Generator(bits).random(g.num_edges)
+    state = bits.state["state"]
+    rng.generator.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    return g._keep_edges(draws >= p)

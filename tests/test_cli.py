@@ -206,6 +206,25 @@ def test_ppi_command_checks_the_config_format_before_any_round(capsys, tmp_path,
     assert not (tmp_path / "report.xml").exists()
 
 
+@pytest.mark.parametrize("out", ["", "missing/report.json"], ids=["directory", "no-parent"])
+def test_ppi_command_checks_the_output_path_before_any_round(capsys, tmp_path, tiny_graphml, out):
+    assert main(["ppi", "--input", str(tiny_graphml), "--rounds", "2", "--size", "50",
+                 "--intermediate", "100", "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert "round" not in captured.out
+    assert captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ppi_command_output_check_keeps_an_existing_file(capsys, tmp_path, tiny_graphml):
+    out = tmp_path / "report.csv"
+    out.write_text("old\n")
+    # the experiment fails after the check: the file is left as it was
+    assert main(["ppi", "--input", str(tiny_graphml), "--size", "50",
+                 "--intermediate", "1000", "--out", str(out)]) == 2
+    assert out.read_text() == "old\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

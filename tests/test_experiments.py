@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import riccialign
 from riccialign import (
     ExperimentConfig,
     ExperimentError,
@@ -149,6 +154,28 @@ def test_ppi_experiment_shape_and_bounds(small_network):
         assert r.seconds >= 0
     mean = sum(r.percentage for r in report.per_round) / 3
     assert report.mean_percentage == pytest.approx(mean)
+
+
+def test_round_one_timer_starts_with_scipy_optimize_loaded():
+    # a fresh interpreter, so that no earlier test has imported scipy yet
+    code = textwrap.dedent("""
+        import sys, time
+        from riccialign import ExperimentConfig, experiments, lift_to_3d, triangular_ring_2d
+        loaded = []
+        class Clock:
+            def perf_counter(self):
+                loaded.append("scipy.optimize" in sys.modules)
+                return time.perf_counter()
+        experiments.time = Clock()
+        cfg = ExperimentConfig("torus", intermediate_sample_size=30, subgraph_size=20,
+                               deletion_probability=0.3, rounds=2)
+        experiments.run_ppi_experiment(cfg, source=lift_to_3d(triangular_ring_2d()))
+        assert loaded[0], loaded
+    """)
+    src = str(Path(riccialign.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_ppi_experiment_is_seed_deterministic(small_network):

@@ -30,6 +30,7 @@ from riccialign import (
     random_walk_sample,
     ricci_matrix,
 )
+from riccialign.alignment import _signature_rows
 
 # small graphs; no deadline, since first calls pay numpy's warm-up
 property_test = settings(deadline=None, max_examples=60)
@@ -171,6 +172,62 @@ def test_curvatures_and_signature_rows_match_reference(data):
         for v in range(n):
             row = sorted(feature(w) for w in ref.adj[v])
             assert matrix.rows[v].tolist() == row + [0] * (m - len(row))
+
+
+@property_test
+@given(edge_lists(), st.data())
+def test_signature_rows_sort_any_integer_features(data, draw):
+    n, pairs = data
+    g, ref = Graph(n, pairs), Reference(n, pairs)
+    features = draw.draw(st.lists(st.integers(-2**40, 2**40), min_size=n, max_size=n))
+    m = g.max_degree() + draw.draw(st.integers(0, 2))
+    rows = _signature_rows(g, m, features)
+    for v in range(n):
+        row = sorted(features[w] for w in ref.adj[v])
+        assert rows[v].tolist() == row + [0] * (m - len(row))
+
+
+def test_signature_rows_guard_the_sort_key_range():
+    g = Graph(2, [(0, 1)])
+    with pytest.raises(GraphError):
+        _signature_rows(g, 1, [2**62, -2**62])
+    # the widest range that still fits: 2 * (2^62 - 1) keys
+    assert _signature_rows(g, 1, [0, 2**62 - 2]).tolist() == [[2**62 - 2], [0]]
+
+
+def assert_stored_like_the_constructor(g):
+    """g's arrays equal those Graph() builds from g's own edges."""
+    ref = Graph(g.num_nodes, g.edge_array, original_labels=g.original_labels)
+    for name in ("indptr", "indices", "edge_array"):
+        got, want = getattr(g, name), getattr(ref, name)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert g.original_labels == ref.original_labels
+
+
+@property_test
+@given(edge_lists(), st.data(), st.integers(0, 2**32), st.floats(0.0, 1.0))
+def test_derived_graphs_store_what_the_constructor_would(data, draw, seed, p):
+    n, pairs = data
+    g = Graph(n, pairs)
+    assert_stored_like_the_constructor(
+        g.induced_subgraph(draw.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    assert_stored_like_the_constructor(delete_edges_randomly(g, p, RngHandle(seed)))
+
+
+@pytest.mark.parametrize("keep", [[0, 1, 2, 4, 5], [3], [1, 2, 3, 4, 5, 6]],
+                         ids=["isolated-last", "single-node", "all-but-one"])
+def test_induced_subgraph_edge_cases_store_what_the_constructor_would(keep):
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 6)], original_labels={3: "x"})
+    assert_stored_like_the_constructor(g.induced_subgraph(keep))
+
+
+@pytest.mark.parametrize("p, kept", [(0.0, 4), (1.0, 0)])
+def test_deletion_edge_cases_store_what_the_constructor_would(p, kept):
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 5)], original_labels={0: "a"})
+    out = delete_edges_randomly(g, p, RngHandle(2))
+    assert_stored_like_the_constructor(out)
+    assert out.num_edges == kept
 
 
 @property_test

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from riccialign import (
@@ -118,3 +120,18 @@ def test_delete_edges_validates_probability(lifted_torus):
 def test_delete_edges_probability_must_be_a_number(lifted_torus, bad):
     with pytest.raises(GraphError):
         delete_edges_randomly(lifted_torus, bad, RngHandle(0))
+
+
+# 624 words is the Mersenne Twister state: these sizes cross its regeneration
+@pytest.mark.parametrize("num_edges", [0, 1, 623, 624, 625, 1249, 5000])
+@pytest.mark.parametrize("seed", [0, 11, 2**40 + 3])
+@pytest.mark.parametrize("gauss_first", [False, True], ids=["fresh", "gauss-pending"])
+def test_deletion_hands_the_stream_back_like_per_edge_draws(num_edges, seed, gauss_first):
+    g = from_edge_list([(i, i + 1) for i in range(num_edges)], n=num_edges + 1)
+    rng, ref = RngHandle(seed), random.Random(seed)
+    if gauss_first:  # consumes two draws and leaves gauss_next pending
+        assert rng.generator.gauss() == ref.gauss()
+    kept = delete_edges_randomly(g, 0.3, rng)
+    assert kept.edges == tuple(e for e in g.edges if ref.random() >= 0.3)
+    assert rng.generator.getstate() == ref.getstate()
+    assert rng.random() == ref.random()
