@@ -18,11 +18,8 @@ from .graph import (
     write_edge_list,
 )
 from .curvature import (
-    CurvatureMap,
     curvature_distribution,
-    curvature_map,
-    edge_curvature_unweighted,
-    node_curvature,
+    edge_curvatures,
     node_curvatures,
     write_distribution_csv,
 )
@@ -70,8 +67,7 @@ __all__ = [
     "__version__",
     "Graph", "GraphError", "GraphMLError", "DirectedGraphError",
     "from_edge_list", "load_graphml", "read_edge_list", "write_edge_list",
-    "CurvatureMap", "curvature_map", "curvature_distribution",
-    "edge_curvature_unweighted", "node_curvature", "node_curvatures",
+    "edge_curvatures", "node_curvatures", "curvature_distribution",
     "write_distribution_csv",
     "TorusSpec", "build_torus", "triangular_ring_2d", "square_frame_2d",
     "mixed_tiling_2d", "lift_to_3d", "triangulate_prisms",

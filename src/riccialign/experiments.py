@@ -248,6 +248,10 @@ def run_cle_verification(num_graphs: int = 100, max_n: int = 30,
     the line graphs of the triangle and the claw, then `num_graphs` seeded
     random connected graphs with 2..max_n nodes.
     """
+    if num_graphs < 0:
+        raise GraphError(f"num_graphs must be >= 0, got {num_graphs}")
+    if max_n < 2:
+        raise GraphError(f"max_n must be >= 2, got {max_n}")
     checks: list[tuple[str, Graph]] = [
         ("lifted triangular torus", lift_to_3d(triangular_ring_2d())),
         ("line graph of K3", line_graph(Graph(3, [(0, 1), (0, 2), (1, 2)])).graph),

@@ -1,15 +1,14 @@
 """Undirected graphs with dense integer node ids, plus file ingestion.
 
 Graphs are immutable after construction: node ids are always the dense range
-0..N-1, and a graph holds only its structure and optional origin labels
-(values on nodes or edges are arguments of the formula that reads them, as
-in ``curvature_map``). The structure is stored as read-only numpy arrays in
-compressed sparse row (CSR) form: node v's neighbors are
-``indices[indptr[v]:indptr[v + 1]]`` in ascending order, and ``edge_array``
-holds every edge once as a canonical (min, max) row, sorted
-lexicographically. The arrays are built with numpy sorts rather than
-per-edge Python objects, so every layer can work on them vectorised, and a
-fixed edge order keeps every downstream matrix row order reproducible.
+0..N-1, and a graph holds only its structure and optional origin labels.
+The structure is stored as read-only numpy arrays in compressed sparse row
+(CSR) form: node v's neighbors are ``indices[indptr[v]:indptr[v + 1]]`` in
+ascending order, and ``edge_array`` holds every edge once as a canonical
+(min, max) row, sorted lexicographically. The arrays are built with numpy
+sorts rather than per-edge Python objects, so every layer can work on them
+vectorised, and a fixed edge order keeps every downstream matrix row order
+reproducible.
 
 Graphs derived from a valid Graph (``induced_subgraph``, the edges kept by
 ``delete_edges_randomly``) skip the constructor's checks and full sort: their
@@ -281,7 +280,7 @@ def from_edge_list(pairs, n: int | None = None) -> Graph:
     pairs = _integers(pairs, (-1, 2))
     max_ref = int(pairs.max()) if pairs.size else -1
     n = max_ref + 1 if n is None else int(_integers(n, ()))
-    if n < max_ref + 1:
+    if 0 <= n <= max_ref:  # a negative n is the constructor's error
         raise GraphError(f"n={n} is smaller than max referenced id {max_ref}")
     return Graph(n, pairs)
 

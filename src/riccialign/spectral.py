@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .curvature import node_curvature, node_curvatures
+from .curvature import node_curvatures
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -38,10 +38,11 @@ def labeled_signature_vector(g: Graph, i: int) -> np.ndarray:
 
 def _ls_product(g: Graph, i: int) -> int:
     """(L s^T)_i from row i of L = D - A alone; the dense L is never built."""
+    s = labeled_signature_vector(g, i)  # checks the id before i indexes anything
     row = np.zeros(g.num_nodes, dtype=np.int64)
     row[g.indices[g.indptr[i]:g.indptr[i + 1]]] = -1
     row[i] = g.degree(i)
-    return int(row @ labeled_signature_vector(g, i))
+    return int(row @ s)
 
 
 def curvature_laplacian_residual(g: Graph, i: int) -> int:
@@ -49,7 +50,8 @@ def curvature_laplacian_residual(g: Graph, i: int) -> int:
 
     This equals 2 deg(v_i) (1 - deg(v_i)) exactly.
     """
-    return node_curvature(g, i) - _ls_product(g, i)
+    ls = _ls_product(g, i)
+    return node_curvatures(g)[i] - ls
 
 
 def curvature_laplacian_holds(g: Graph) -> bool:

@@ -31,6 +31,16 @@ def test_verify_cle_command(capsys):
     assert "8/8 graphs satisfy the identity" in out
 
 
+@pytest.mark.parametrize("flags, name", [(["--max-n", "1"], "max_n"),
+                                         (["--random-graphs", "-3"], "num_graphs")],
+                         ids=["max-n-1", "random-graphs-negative"])
+def test_verify_cle_command_rejects_bad_counts(capsys, flags, name):
+    assert main(["verify-cle", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be")
+    assert "PASS" not in captured.out
+
+
 def test_align_command(capsys, tmp_path):
     g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     g1 = tmp_path / "g1.edges"

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,12 +7,9 @@ from riccialign import (
     GraphError,
     GraphMLError,
     curvature_laplacian_residual,
-    curvature_map,
-    edge_curvature_unweighted,
     from_edge_list,
     labeled_signature_vector,
     load_graphml,
-    node_curvature,
     read_edge_list,
     write_edge_list,
 )
@@ -49,6 +44,16 @@ def test_from_edge_list_rejects_self_loop():
 def test_from_edge_list_rejects_small_n():
     with pytest.raises(GraphError):
         from_edge_list([(0, 5)], n=3)
+
+
+@pytest.mark.parametrize("pairs", [[], [(0, 5)]], ids=["empty", "edge"])
+def test_negative_node_count_is_reported_as_negative(tmp_path, pairs):
+    with pytest.raises(GraphError, match="^negative node count -1$"):
+        from_edge_list(pairs, n=-1)
+    path = tmp_path / "neg.edges"
+    path.write_text("n=-1\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+    with pytest.raises(GraphError, match="^negative node count -1$"):
+        read_edge_list(path)
 
 
 @pytest.mark.parametrize("n", ["3", 2.5, True])
@@ -115,23 +120,18 @@ def _path3():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: curvature_map(_path3(), node_weights={1.7: 2.0}),
     lambda: _path3().induced_subgraph([1.7]),
     lambda: _path3().induced_subgraph([True, 2]),
-    lambda: curvature_map(_path3(), edge_weights={(0.0, 1): 2.0}),
-    lambda: curvature_map(_path3(), edge_weights={(True, 2): 2.0}),
     lambda: _path3().degree(1.5),
     lambda: _path3().degree(True),
     lambda: _path3().neighbors(1.0),
     lambda: _path3().has_edge(0.0, 1),
-    lambda: node_curvature(_path3(), 1.5),
-    lambda: edge_curvature_unweighted(_path3(), (0.0, 1)),
     lambda: labeled_signature_vector(_path3(), 1.0),
     lambda: curvature_laplacian_residual(_path3(), True),
-], ids=["node-weight-float", "subgraph-float", "subgraph-bool", "edge-weight-float",
-        "edge-weight-bool", "degree-float", "degree-bool", "neighbors-float",
-        "has-edge-float", "node-curvature-float", "edge-curvature-float",
-        "signature-float", "residual-bool"])
+    lambda: curvature_laplacian_residual(_path3(), 1.5),
+], ids=["subgraph-float", "subgraph-bool", "degree-float", "degree-bool",
+        "neighbors-float", "has-edge-float", "signature-float", "residual-bool",
+        "residual-float"])
 def test_non_integer_node_id_raises_graph_error(call):
     with pytest.raises(GraphError):
         call()
@@ -216,36 +216,6 @@ def test_induced_subgraph_chains_parent_labels():
     g = Graph(3, [(0, 1), (1, 2)], original_labels={0: "a", 1: "b", 2: "c"})
     sub = g.induced_subgraph({1, 2})
     assert sub.original_labels == {0: "b", 1: "c"}
-
-
-def test_weights_must_be_positive():
-    g = Graph(2, [(0, 1)])
-    with pytest.raises(GraphError):
-        curvature_map(g, node_weights={0: 0.0})
-    with pytest.raises(GraphError):
-        curvature_map(g, edge_weights={(0, 1): -2.0})
-    with pytest.raises(GraphError):
-        curvature_map(g, edge_weights={(0, 2): 1.0})
-
-
-@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, "x", None])
-def test_weights_must_be_finite(w):
-    with pytest.raises(GraphError):
-        curvature_map(_path3(), edge_weights={(0, 1): w})
-    with pytest.raises(GraphError):
-        curvature_map(_path3(), node_weights={2: w})
-
-
-@pytest.mark.parametrize("weights", [{(0, 1): 2.0, (1, 0): 3.0},
-                                     {(1, 0): 3.0, (0, 1): 2.0},
-                                     {(1, 2): 1.0, (2, 1): 1.0}])
-def test_edge_weight_given_in_both_orientations_raises(weights):
-    # one edge row named twice would keep whichever weight came last
-    with pytest.raises(GraphError, match="more than one weight"):
-        curvature_map(_path3(), edge_weights=weights)
-    one_each = {(1, 0): 3.0, (1, 2): 2.0}
-    assert curvature_map(_path3(), edge_weights=one_each) == \
-        curvature_map(_path3(), edge_weights={(0, 1): 3.0, (2, 1): 2.0})
 
 
 # -- GraphML ----------------------------------------------------------------

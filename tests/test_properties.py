@@ -20,12 +20,12 @@ from riccialign import (
     curvature_laplacian_residual,
     degree_matrix,
     delete_edges_randomly,
+    edge_curvatures,
     edge_pair_count,
     hungarian,
     labeled_signature_vector,
     laplacian,
     line_graph,
-    node_curvature,
     node_curvatures,
     random_walk_sample,
     ricci_matrix,
@@ -175,6 +175,23 @@ def test_curvatures_and_signature_rows_match_reference(data):
 
 
 @property_test
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_curvatures_and_signature_rows_move_with_a_relabelling(data, rnd):
+    n, pairs = data
+    perm = list(range(n))
+    rnd.shuffle(perm)  # node v of g is node perm[v] of h
+    g = Graph(n, pairs)
+    h = Graph(n, [(perm[u], perm[v]) for u, v in pairs])
+    moved = h.edge_rows([(perm[u], perm[v]) for u, v in g.edges])
+    assert edge_curvatures(h)[moved].tolist() == edge_curvatures(g).tolist()
+    node_h = node_curvatures(h)
+    assert [node_h[w] for w in perm] == node_curvatures(g)
+    m = g.max_degree() + 1
+    for build in (ricci_matrix, degree_matrix):
+        assert np.array_equal(build(h, m).rows[perm], build(g, m).rows)
+
+
+@property_test
 @given(edge_lists(), st.data())
 def test_signature_rows_sort_any_integer_features(data, draw):
     n, pairs = data
@@ -254,7 +271,7 @@ def test_curvature_laplacian_identity_on_random_graphs(data):
         d = g.degree(v)
         residual = curvature_laplacian_residual(g, v)
         assert residual == 2 * d * (1 - d)
-        assert residual == node_curvature(g, v) - lap[v] @ labeled_signature_vector(g, v)
+        assert residual == node_curvatures(g)[v] - lap[v] @ labeled_signature_vector(g, v)
 
 
 MODES = st.sampled_from(["degree", "ricci"])
