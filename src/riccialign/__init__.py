@@ -23,15 +23,7 @@ from .curvature import (
     node_curvatures,
     write_distribution_csv,
 )
-from .tessellation import (
-    TorusSpec,
-    build_torus,
-    lift_to_3d,
-    mixed_tiling_2d,
-    square_frame_2d,
-    triangular_ring_2d,
-    triangulate_prisms,
-)
+from .tessellation import lift_to_3d, triangular_ring_2d
 from .spectral import (
     curvature_laplacian_holds,
     curvature_laplacian_residual,
@@ -69,8 +61,7 @@ __all__ = [
     "from_edge_list", "load_graphml", "read_edge_list", "write_edge_list",
     "edge_curvatures", "node_curvatures", "curvature_distribution",
     "write_distribution_csv",
-    "TorusSpec", "build_torus", "triangular_ring_2d", "square_frame_2d",
-    "mixed_tiling_2d", "lift_to_3d", "triangulate_prisms",
+    "triangular_ring_2d", "lift_to_3d",
     "laplacian", "labeled_signature_vector",
     "curvature_laplacian_residual", "curvature_laplacian_holds",
     "LineGraphResult", "line_graph", "edge_pair_count",

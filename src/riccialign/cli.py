@@ -81,7 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(*paths) -> None:
+    """Fail before an experiment runs, not after it, on an unwritable output path."""
+    for path in filter(None, paths):
+        existed = Path(path).exists()
+        Path(path).open("a").close()
+        if not existed:
+            Path(path).unlink()
+
+
 def _cmd_torus(args) -> int:
+    _check_writable(args.out, args.histogram)
     report = run_torus_experiment()
     labels = ("A", "B", "C")
     print("lifted triangular torus: 36 nodes, 90 edges")
@@ -118,11 +128,7 @@ def _cmd_ppi(args) -> int:
         **{field: cast(settings[key]) for key, (field, cast, _) in _PPI_FIELDS.items()
            if key in settings})
     out = settings.get("out")
-    if out:  # an unwritable path fails now, not after the last round
-        existed = Path(out).exists()
-        Path(out).open("a").close()
-        if not existed:
-            Path(out).unlink()
+    _check_writable(out)
     report = run_ppi_experiment(cfg)
     for r in report.per_round:
         print(f"round {r.round_index}: {r.correct} correct "

@@ -55,6 +55,8 @@ class ExperimentConfig:
         _check_probability(self.deletion_probability)
         if self.rounds < 1:
             raise GraphError("rounds must be >= 1")
+        if self.seed < 0:
+            raise GraphError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.mode, str) or self.mode not in MODES:
             raise GraphError(f"mode must be one of {sorted(MODES)}, got {self.mode!r}")
 
@@ -252,12 +254,12 @@ def run_cle_verification(num_graphs: int = 100, max_n: int = 30,
         raise GraphError(f"num_graphs must be >= 0, got {num_graphs}")
     if max_n < 2:
         raise GraphError(f"max_n must be >= 2, got {max_n}")
+    rng = RngHandle(seed)
     checks: list[tuple[str, Graph]] = [
         ("lifted triangular torus", lift_to_3d(triangular_ring_2d())),
         ("line graph of K3", line_graph(Graph(3, [(0, 1), (0, 2), (1, 2)])).graph),
         ("line graph of K1,3", line_graph(Graph(4, [(0, 1), (0, 2), (0, 3)])).graph),
     ]
-    rng = RngHandle(seed)
     for k in range(num_graphs):
         n = rng.generator.randint(2, max_n)
         checks.append((f"random connected graph #{k + 1} (n={n})",

@@ -20,7 +20,8 @@ class RngHandle:
     """Seeded random generator; the same seed replays the same draws.
 
     Seeds and offsets are Python or numpy integers; anything else, bools
-    included, raises GraphError.
+    included, raises GraphError, and so does a seed below 0 (random.Random
+    seeds from the absolute value, so -s would replay s).
 
     A handle is stateful and must not be shared across threads; derive
     independent handles instead.
@@ -28,6 +29,8 @@ class RngHandle:
 
     def __init__(self, seed: int):
         self.seed = int(_integers(seed, ()))
+        if self.seed < 0:
+            raise GraphError(f"seed must be >= 0, got {self.seed}")
         self.generator = random.Random(self.seed)
 
     def derive(self, offset: int) -> "RngHandle":

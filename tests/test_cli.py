@@ -14,13 +14,14 @@ from conftest import preferential_attachment_graph, write_graphml
 
 
 def test_torus_command(capsys, tmp_path):
-    out = tmp_path / "torus.json"
-    assert main(["torus", "--out", str(out)]) == 0
+    out, hist = tmp_path / "torus.json", tmp_path / "hist.csv"
+    assert main(["torus", "--out", str(out), "--histogram", str(hist)]) == 0
     text = capsys.readouterr().out
     assert "class A: curvature -56, 12 nodes" in text
     assert "100%" in text
     payload = json.loads(out.read_text())
     assert payload["class_sizes"] == [12, 12, 12]
+    assert hist.read_text().splitlines()[1:] == ["-56,12", "-40,12", "-28,12"]
 
 
 def test_verify_cle_command(capsys):
@@ -32,8 +33,9 @@ def test_verify_cle_command(capsys):
 
 
 @pytest.mark.parametrize("flags, name", [(["--max-n", "1"], "max_n"),
-                                         (["--random-graphs", "-3"], "num_graphs")],
-                         ids=["max-n-1", "random-graphs-negative"])
+                                         (["--random-graphs", "-3"], "num_graphs"),
+                                         (["--seed", "-1", "--random-graphs", "3"], "seed")],
+                         ids=["max-n-1", "random-graphs-negative", "seed-negative"])
 def test_verify_cle_command_rejects_bad_counts(capsys, flags, name):
     assert main(["verify-cle", *flags]) == 2
     captured = capsys.readouterr()
@@ -203,6 +205,26 @@ def test_align_command_reports_a_directory_input(capsys, tmp_path):
 def test_torus_command_reports_a_directory_output(capsys, tmp_path):
     assert main(["torus", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_torus_command_checks_both_output_paths_before_the_run(capsys, tmp_path):
+    out = tmp_path / "torus.json"
+    assert main(["torus", "--out", str(out),
+                 "--histogram", str(tmp_path / "missing" / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "class A" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ppi_command_rejects_a_negative_seed_before_loading(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["ppi", "--input", str(tmp_path / "missing.graphml"), "--seed", "-1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert "round" not in captured.out
+    assert not out.exists()
 
 
 def test_ppi_command_checks_the_config_format_before_any_round(capsys, tmp_path, tiny_graphml):

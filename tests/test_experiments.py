@@ -94,6 +94,8 @@ def test_config_validation(tmp_path):
         ExperimentConfig(input_path="x", rounds=0)
     with pytest.raises(GraphError):
         ExperimentConfig(input_path="x", mode="fancy")
+    with pytest.raises(GraphError, match="seed"):
+        ExperimentConfig(input_path="x", seed=-1)
 
 
 @pytest.mark.parametrize("make", [

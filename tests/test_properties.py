@@ -3,8 +3,11 @@
 Each reference is the plain loop over tuples and sets that the vectorised
 code replaces. The integer results must agree exactly, and the seeded
 sampling functions must make the same draws. `align()` is checked against
-`hungarian` and against what a zero-cost optimum must satisfy.
+`hungarian`, against what a zero-cost optimum must satisfy, and for a total
+cost that does not depend on G2's node ids.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -297,6 +300,24 @@ def test_align_relabelled_copy_pairs_equal_rows_at_zero_cost(data, rnd, mode):
     for v, w in result.mapping.items():
         assert rows_g[v].tolist() == rows_h[w].tolist()
     assert result.total_cost == 0.0
+
+
+@property_test
+@given(edge_lists(), st.integers(0, 2**32), st.floats(0.0, 1.0),
+       st.randoms(use_true_random=False), MODES)
+def test_align_total_cost_does_not_change_when_g2_is_relabelled(data, seed, p, rnd, mode):
+    n, pairs = data
+    g1 = Graph(n, pairs)
+    g2 = delete_edges_randomly(g1, p, RngHandle(seed))
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    h = Graph(n, [(perm[u], perm[v]) for u, v in g2.edges])
+    plain = align(g1, g2, mode=mode).total_cost
+    relabelled = align(g1, h, mode=mode).total_cost
+    # hungarian adds the chosen entries in ascending column order, which a
+    # relabelling reorders: the totals may differ in the last bits
+    assert math.isclose(relabelled, plain, rel_tol=1e-12)
+    assert (relabelled == 0.0) == (plain == 0.0)
 
 
 @property_test

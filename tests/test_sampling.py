@@ -29,6 +29,16 @@ def test_rng_handle_rejects_non_integer_seeds(make):
         make()
 
 
+def test_rng_handle_rejects_negative_seeds():
+    # random.Random seeds from |seed|, so -3 would replay 3's draws
+    with pytest.raises(GraphError, match="seed must be >= 0"):
+        RngHandle(-3)
+    with pytest.raises(GraphError, match="seed must be >= 0"):
+        RngHandle(2).derive(-3)
+    assert RngHandle(0).random() == random.Random(0).random()
+    assert RngHandle(5).derive(-5).seed == 0
+
+
 def test_full_size_sample_is_a_copy():
     g = random_connected_graph(20, seed=1)
     sample = random_walk_sample(g, 20, RngHandle(0))
