@@ -12,9 +12,9 @@ from ._version import __version__
 from .alignment import MODES, align, score_alignment, write_assignment_csv
 from .curvature import write_distribution_csv
 from .experiments import (
-    REPORT_FORMATS,
     ExperimentConfig,
     ExperimentError,
+    check_report_path,
     emit_report,
     load_graph,
     run_cle_verification,
@@ -23,22 +23,8 @@ from .experiments import (
 )
 
 
-def read_config_file(path) -> dict:
-    """Parse a key=value config file; `#` starts a comment."""
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-# `rmc ppi` setting -> (ExperimentConfig field, cast, help); a setting that no
-# flag or config line gives is left to the dataclass default.
+# `rmc ppi` flag -> (ExperimentConfig field, cast, help); the field is the
+# flag's dest and its dataclass default the flag's default.
 _PPI_FIELDS = {"rounds": ("rounds", int, "number of alignment rounds"),
                "p": ("deletion_probability", float, "edge deletion probability"),
                "size": ("subgraph_size", int, "per-round subgraph size"),
@@ -57,16 +43,17 @@ def build_parser() -> argparse.ArgumentParser:
     torus.add_argument("--out", help="write the report as JSON to this path")
     torus.add_argument("--histogram", help="write the curvature histogram CSV here")
 
-    ppi = sub.add_parser("ppi", help="sampled line-graph alignment experiment")
-    ppi.add_argument("--config", help="key=value file; explicit flags override it")
-    ppi.add_argument("--input", help="input graph (.graphml or edge-list text)")
+    ppi = sub.add_parser("ppi", help="sampled line-graph alignment experiment",
+                         fromfile_prefix_chars="@")
+    ppi.add_argument("--input", dest="input_path", required=True,
+                     help="input graph (.graphml or edge-list text)")
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     for key, (field, cast, text) in _PPI_FIELDS.items():
-        ppi.add_argument(f"--{key}", type=cast, help=f"{text} (default {defaults[field]})",
+        ppi.add_argument(f"--{key}", dest=field, type=cast, default=defaults[field],
+                         help=f"{text} (default %(default)s)",
                          choices=tuple(MODES) if key == "mode" else None)
-    ppi.add_argument("--out", help="report output path")
-    ppi.add_argument("--format", choices=REPORT_FORMATS,
-                     help="report format (default json)")
+    ppi.add_argument("--out", help="report path; its suffix (.json, .csv or .md) "
+                                   "picks the format")
 
     cle = sub.add_parser("verify-cle", help="check the curvature-Laplacian identity")
     cle.add_argument("--random-graphs", type=int, default=100)
@@ -110,33 +97,19 @@ def _cmd_torus(args) -> int:
 
 
 def _cmd_ppi(args) -> int:
-    keys = ("input", *_PPI_FIELDS, "out", "format")
-    settings = read_config_file(args.config) if args.config else {}
-    unknown = set(settings) - set(keys)
-    if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    settings.update({key: getattr(args, key) for key in keys
-                     if getattr(args, key) is not None})
-    if not settings.get("input"):
-        raise SystemExit("an input graph is required (--input or config input=)")
-    fmt = settings.get("format", "json")
-    if fmt not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {fmt!r}")
-
-    cfg = ExperimentConfig(
-        input_path=str(settings["input"]),
-        **{field: cast(settings[key]) for key, (field, cast, _) in _PPI_FIELDS.items()
-           if key in settings})
-    out = settings.get("out")
-    _check_writable(out)
+    cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(ExperimentConfig)})
+    if args.out:
+        check_report_path(args.out)
+    _check_writable(args.out)
     report = run_ppi_experiment(cfg)
     for r in report.per_round:
         print(f"round {r.round_index}: {r.correct} correct "
               f"({r.percentage:g}%) in {r.seconds:.2f}s")
     print(f"mean percentage: {report.mean_percentage:g}%")
-    if out:
-        emit_report(report, out, fmt=fmt)
-        print(f"report written to {out}")
+    if args.out:
+        emit_report(report, args.out)
+        print(f"report written to {args.out}")
     return 0
 
 
@@ -152,6 +125,7 @@ def _cmd_verify_cle(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    _check_writable(args.out)
     g1 = load_graph(args.g1)
     g2 = load_graph(args.g2)
     result = align(g1, g2, MODES[args.mode])

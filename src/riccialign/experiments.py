@@ -154,28 +154,23 @@ def run_torus_experiment() -> TorusReport:
 
 # -- PPI line-graph pipeline --------------------------------------------------
 
-def run_ppi_experiment(cfg: ExperimentConfig, source: Graph | None = None) -> ExperimentReport:
+def run_ppi_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the sampled line-graph alignment experiment.
 
-    Stages: load the input network (or use `source` directly), take one
-    random-walk sample of cfg.intermediate_sample_size nodes with the master
-    seed, build its line graph, then for each round r (seeded cfg.seed + r)
-    sample a cfg.subgraph_size-node G1 from the line graph, delete its edges
-    with probability cfg.deletion_probability to get G2, align, and count
-    nodes mapped to their own id.
+    Stages: load cfg.input_path, take one random-walk sample of
+    cfg.intermediate_sample_size nodes with the master seed, build its line
+    graph, then for each round r (seeded cfg.seed + r) sample a
+    cfg.subgraph_size-node G1 from the line graph, delete its edges with
+    probability cfg.deletion_probability to get G2, align, and count nodes
+    mapped to their own id.
     """
-    g = source if source is not None else load_graph(cfg.input_path)
+    g = load_graph(cfg.input_path)
     if cfg.intermediate_sample_size > g.num_nodes:
         raise ExperimentError(
             f"intermediate sample of {cfg.intermediate_sample_size} nodes "
             f"exceeds the input graph ({g.num_nodes} nodes)")
 
     intermediate = random_walk_sample(g, cfg.intermediate_sample_size, RngHandle(cfg.seed))
-    if intermediate.num_nodes < cfg.intermediate_sample_size:
-        raise ExperimentError(
-            f"intermediate stage collected {intermediate.num_nodes} of "
-            f"{cfg.intermediate_sample_size} nodes")
-
     universe = line_graph(intermediate).graph
     if universe.num_nodes < cfg.subgraph_size:
         raise ExperimentError(
@@ -190,9 +185,6 @@ def run_ppi_experiment(cfg: ExperimentConfig, source: Graph | None = None) -> Ex
         rng = RngHandle(cfg.seed + r)
         start = time.perf_counter()
         g1 = random_walk_sample(universe, cfg.subgraph_size, rng)
-        if g1.num_nodes < cfg.subgraph_size:
-            raise ExperimentError(
-                f"round {r}: sample collected {g1.num_nodes} of {cfg.subgraph_size} nodes")
         g2 = delete_edges_randomly(g1, cfg.deletion_probability, rng)
         correct, pct = score_alignment(align(g1, g2, mode=mode))
         results.append(RoundResult(round_index=r, correct=correct, percentage=pct,
@@ -204,17 +196,25 @@ def run_ppi_experiment(cfg: ExperimentConfig, source: Graph | None = None) -> Ex
 
 # -- report emission ----------------------------------------------------------
 
-REPORT_FORMATS = ("json", "csv", "markdown")
+def check_report_path(path) -> None:
+    """Raise ValueError unless the path's suffix is .json, .csv or .md."""
+    suffix = Path(path).suffix
+    if suffix not in (".json", ".csv", ".md"):
+        raise ValueError(f"unknown report suffix {suffix!r} (use .json, .csv or .md)")
 
 
-def emit_report(report: ExperimentReport, path, fmt: str = "json") -> None:
-    """Serialize a report as json, csv (`round,correct,percentage`) or markdown."""
-    if fmt not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {fmt!r}")
+def emit_report(report: ExperimentReport, path) -> None:
+    """Write a report in the format its path's suffix selects.
+
+    .json: the config echo, per-round counts and the mean; .csv:
+    `round,correct,percentage` lines; .md: the paper's
+    `Round | Absolute Node Count | Percentage` table and the mean.
+    """
+    check_report_path(path)
     path = Path(path)
-    if fmt == "json":
+    if path.suffix == ".json":
         path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    elif fmt == "csv":
+    elif path.suffix == ".csv":
         lines = ["round,correct,percentage"]
         lines += [f"{r.round_index},{r.correct},{r.percentage:g}"
                   for r in report.per_round]

@@ -19,12 +19,12 @@ from .graph import Graph, GraphError, _integers
 class RngHandle:
     """Seeded random generator; the same seed replays the same draws.
 
-    Seeds and offsets are Python or numpy integers; anything else, bools
-    included, raises GraphError, and so does a seed below 0 (random.Random
-    seeds from the absolute value, so -s would replay s).
+    Seeds are Python or numpy integers; anything else, bools included,
+    raises GraphError, and so does a seed below 0 (random.Random seeds from
+    the absolute value, so -s would replay s).
 
-    A handle is stateful and must not be shared across threads; derive
-    independent handles instead.
+    A handle is stateful and must not be shared across threads; give each
+    thread its own handle instead.
     """
 
     def __init__(self, seed: int):
@@ -32,10 +32,6 @@ class RngHandle:
         if self.seed < 0:
             raise GraphError(f"seed must be >= 0, got {self.seed}")
         self.generator = random.Random(self.seed)
-
-    def derive(self, offset: int) -> "RngHandle":
-        """Fresh handle with seed + offset, e.g. one per experiment round."""
-        return RngHandle(self.seed + int(_integers(offset, ())))
 
     def choice(self, seq):
         return self.generator.choice(seq)
@@ -57,8 +53,7 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle,
     count toward a stagnation counter; after max_iter stagnant steps the
     walk jumps to a uniform random not-yet-collected node (the jump target
     itself is only collected once the walk steps onto it through the usual
-    rule). The counter resets on progress and on jumps. If every node is
-    already collected the walk stops early with what it has.
+    rule). The counter resets on progress and on jumps.
     """
     if _integers(size, ()) <= 0:
         raise GraphError(f"sample size must be positive, got {size}")
@@ -87,8 +82,6 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle,
             stagnant += 1
         if stagnant >= max_iter:
             potential = sorted(set(all_nodes) - visited_set)
-            if not potential:
-                break
             nxt = rng.choice(potential)
             stagnant = 0
         current = nxt

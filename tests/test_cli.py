@@ -6,8 +6,9 @@ import pytest
 
 from riccialign import Graph, align, common_max_degree, cost_matrix, degree_matrix, \
     from_edge_list, hungarian, ricci_matrix, write_edge_list
+from riccialign import cli
 from riccialign.alignment import MODES
-from riccialign.cli import main, read_config_file
+from riccialign.cli import main
 from riccialign.experiments import ExperimentConfig
 
 from conftest import preferential_attachment_graph, write_graphml
@@ -138,16 +139,15 @@ def test_ppi_command_with_flags(capsys, tmp_path, tiny_graphml):
 
 
 def test_ppi_command_config_file_with_flag_override(capsys, tmp_path, tiny_graphml):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"# experiment settings\ninput={tiny_graphml}\nrounds=5\n"
-        "size=50\nintermediate=100\nseed=3\np=0.0\nmode=rmc\n")
+    args = tmp_path / "run.args"
+    args.write_text(
+        f"--input={tiny_graphml}\n--rounds=5\n--size=50\n--intermediate=100\n"
+        "--seed\n3\n--p=0.0\n--mode=rmc\n")
     out = tmp_path / "report.csv"
-    assert main(["ppi", "--config", str(cfg), "--rounds", "2",
-                 "--out", str(out), "--format", "csv"]) == 0
+    assert main(["ppi", f"@{args}", "--rounds", "2", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "round,correct,percentage"
-    assert len(lines) == 3  # flags override the config file's 5 rounds
+    assert len(lines) == 3  # the later flag overrides the file's 5 rounds
 
 
 def test_ppi_help_names_config_defaults(capsys, monkeypatch):
@@ -169,27 +169,40 @@ def test_ppi_command_requires_input():
         main(["ppi", "--rounds", "1"])
 
 
-def test_read_config_file_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("rounds\n")
-    with pytest.raises(ValueError):
-        read_config_file(bad)
+def test_ppi_command_rejects_unknown_config_key(capsys, tmp_path, tiny_graphml):
+    args = tmp_path / "run.args"
+    args.write_text(f"--input={tiny_graphml}\n--bogus=1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["ppi", f"@{args}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_ppi_command_rejects_unknown_config_key(tmp_path, tiny_graphml):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"input={tiny_graphml}\nbogus=1\n")
-    with pytest.raises(SystemExit):
-        main(["ppi", "--config", str(cfg)])
+def test_ppi_command_reports_a_missing_args_file(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["ppi", f"@{tmp_path / 'missing.args'}"])
+    assert exc.value.code == 2
+    assert "missing.args" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_cleanly(capsys, tmp_path, tiny_graphml):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"input={tiny_graphml}\nrounds=0\n")
-    assert main(["ppi", "--config", str(cfg)]) == 2
+    assert main(["ppi", "--input", str(tiny_graphml), "--rounds", "0"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["align", "--mode", "dmc", "--g1", "missing.edges",
                  "--g2", "missing.edges", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_align_command_checks_the_output_path_before_aligning(capsys, tmp_path,
+                                                              monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("an unwritable --out must fail before the alignment")
+
+    monkeypatch.setattr(cli, "align", unexpected)
+    g = tmp_path / "g.edges"
+    write_edge_list(from_edge_list([(0, 1)]), g)
+    assert main(["align", "--mode", "rmc", "--g1", str(g), "--g2", str(g),
+                 "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_align_command_reports_a_directory_input(capsys, tmp_path):
@@ -228,14 +241,19 @@ def test_ppi_command_rejects_a_negative_seed_before_loading(capsys, tmp_path):
 
 
 def test_ppi_command_checks_the_config_format_before_any_round(capsys, tmp_path, tiny_graphml):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"input={tiny_graphml}\nrounds=2\nsize=50\nintermediate=100\n"
-                   f"out={tmp_path / 'report.xml'}\nformat=xml\n")
-    assert main(["ppi", "--config", str(cfg)]) == 2
+    out = tmp_path / "report.xml"
+    assert main(["ppi", "--input", str(tiny_graphml), "--rounds", "2", "--size", "50",
+                 "--intermediate", "100", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "round" not in captured.out
-    assert captured.err == "error: unknown report format 'xml'\n"
-    assert not (tmp_path / "report.xml").exists()
+    assert captured.err == "error: unknown report suffix '.xml' (use .json, .csv or .md)\n"
+    assert not out.exists()
+
+
+def test_ppi_command_checks_the_report_suffix_before_loading(capsys, tmp_path):
+    assert main(["ppi", "--input", str(tmp_path / "missing.graphml"),
+                 "--out", str(tmp_path / "report.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown report suffix '.txt'")
 
 
 @pytest.mark.parametrize("out", ["", "missing/report.json"], ids=["directory", "no-parent"])

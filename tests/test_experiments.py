@@ -15,11 +15,13 @@ from riccialign import (
     GraphError,
     RngHandle,
     emit_report,
+    lift_to_3d,
     line_graph,
     random_walk_sample,
     run_cle_verification,
     run_ppi_experiment,
     run_torus_experiment,
+    triangular_ring_2d,
     write_edge_list,
 )
 from riccialign.experiments import RoundResult, load_graph, random_connected_graph
@@ -158,20 +160,22 @@ def test_ppi_experiment_shape_and_bounds(small_network):
     assert report.mean_percentage == pytest.approx(mean)
 
 
-def test_round_one_timer_starts_with_scipy_optimize_loaded():
+def test_round_one_timer_starts_with_scipy_optimize_loaded(tmp_path):
     # a fresh interpreter, so that no earlier test has imported scipy yet
-    code = textwrap.dedent("""
+    torus = tmp_path / "torus.edges"
+    write_edge_list(lift_to_3d(triangular_ring_2d()), torus)
+    code = textwrap.dedent(f"""
         import sys, time
-        from riccialign import ExperimentConfig, experiments, lift_to_3d, triangular_ring_2d
+        from riccialign import ExperimentConfig, experiments
         loaded = []
         class Clock:
             def perf_counter(self):
                 loaded.append("scipy.optimize" in sys.modules)
                 return time.perf_counter()
         experiments.time = Clock()
-        cfg = ExperimentConfig("torus", intermediate_sample_size=30, subgraph_size=20,
-                               deletion_probability=0.3, rounds=2)
-        experiments.run_ppi_experiment(cfg, source=lift_to_3d(triangular_ring_2d()))
+        cfg = ExperimentConfig({str(torus)!r}, intermediate_sample_size=30,
+                               subgraph_size=20, deletion_probability=0.3, rounds=2)
+        experiments.run_ppi_experiment(cfg)
         assert loaded[0], loaded
     """)
     src = str(Path(riccialign.__file__).resolve().parents[1])
@@ -201,15 +205,6 @@ def test_ppi_experiment_line_graph_is_the_alignment_universe(small_network):
     cfg = _small_config(small_network)
     intermediate = random_walk_sample(g, cfg.intermediate_sample_size, RngHandle(cfg.seed))
     assert line_graph(intermediate).graph.num_nodes == intermediate.num_edges
-
-
-def test_ppi_experiment_accepts_in_memory_source(small_network):
-    g = load_graph(small_network)
-    cfg = _small_config(small_network)
-    from_source = run_ppi_experiment(cfg, source=g)
-    from_file = run_ppi_experiment(cfg)
-    assert [(r.correct, r.percentage) for r in from_source.per_round] == \
-        [(r.correct, r.percentage) for r in from_file.per_round]
 
 
 def test_ppi_experiment_rejects_oversized_intermediate(small_network):
@@ -244,26 +239,28 @@ def test_emit_report_formats(tmp_path):
         config=cfg,
     )
     csv_path = tmp_path / "r.csv"
-    emit_report(report, csv_path, fmt="csv")
+    emit_report(report, csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "round,correct,percentage"
     assert lines[1] == "1,416,83.2"
 
     md_path = tmp_path / "r.md"
-    emit_report(report, md_path, fmt="markdown")
+    emit_report(report, md_path)
     text = md_path.read_text()
     assert "Round | Absolute Node Count | Percentage" in text
     assert "| 1 | 416 | 83.2% |" in text
 
     json_path = tmp_path / "r.json"
-    emit_report(report, json_path, fmt="json")
+    emit_report(report, json_path)
     payload = json.loads(json_path.read_text())
     assert payload["config"]["seed"] == 11
     assert payload["rounds"][0]["correct"] == 416
     assert payload["mean_percentage"] == 86.1
 
-    with pytest.raises(ValueError):
-        emit_report(report, tmp_path / "r.xml", fmt="xml")
+    for bad in ("r.xml", "r.markdown", "r"):
+        with pytest.raises(ValueError, match="unknown report suffix"):
+            emit_report(report, tmp_path / bad)
+        assert not (tmp_path / bad).exists()
 
 
 def test_report_echoes_the_whole_config():

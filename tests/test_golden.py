@@ -8,7 +8,7 @@ least one of these numbers.
 """
 
 import riccialign.experiments as experiments
-from riccialign import ExperimentConfig, run_ppi_experiment
+from riccialign import ExperimentConfig, run_ppi_experiment, write_edge_list
 
 from conftest import preferential_attachment_graph
 
@@ -19,7 +19,7 @@ GOLDEN_TOTAL_COST = [74825.11030427927, 98834.64325660573, 82850.99978086038,
                      90547.30149555852]
 
 
-def test_ppi_seed0_golden(monkeypatch):
+def test_ppi_seed0_golden(monkeypatch, tmp_path):
     totals = []
     align = experiments.align
 
@@ -29,9 +29,11 @@ def test_ppi_seed0_golden(monkeypatch):
         return result
 
     monkeypatch.setattr(experiments, "align", recording_align)
-    cfg = ExperimentConfig(input_path="surrogate", intermediate_sample_size=1000,
+    path = tmp_path / "surrogate.edges"
+    write_edge_list(preferential_attachment_graph(3800, seed=10), path)
+    cfg = ExperimentConfig(input_path=str(path), intermediate_sample_size=1000,
                            subgraph_size=500, deletion_probability=0.01,
                            rounds=10, seed=0, mode="rmc")
-    report = run_ppi_experiment(cfg, source=preferential_attachment_graph(3800, seed=10))
+    report = run_ppi_experiment(cfg)
     assert [r.correct for r in report.per_round] == GOLDEN_CORRECT
     assert totals == GOLDEN_TOTAL_COST

@@ -259,6 +259,7 @@ def test_walk_and_deletion_draw_like_the_tuple_reference(data, seed, p):
     rng, ref_rng = RngHandle(seed), RngHandle(seed)
     sample = random_walk_sample(g, size, rng)
     visited = reference_walk(ref, size, ref_rng)
+    assert sample.num_nodes == size == len(visited)
     assert sample.edges == reference_subgraph_edges(ref, visited)
     kept = delete_edges_randomly(sample, p, rng)
     assert kept.edges == tuple(e for e in sample.edges if ref_rng.random() >= p)
