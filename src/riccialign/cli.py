@@ -40,11 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     torus = sub.add_parser("torus", help="torus hole-identification experiment")
-    torus.add_argument("--out", help="write the report as JSON to this path")
+    torus.add_argument("--out", help="write the report as JSON to this .json path")
     torus.add_argument("--histogram", help="write the curvature histogram CSV here")
 
     ppi = sub.add_parser("ppi", help="sampled line-graph alignment experiment",
                          fromfile_prefix_chars="@")
+    ppi.convert_arg_line_to_args = lambda line: [line] if line.strip() else []
     ppi.add_argument("--input", dest="input_path", required=True,
                      help="input graph (.graphml or edge-list text)")
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
@@ -78,6 +79,8 @@ def _check_writable(*paths) -> None:
 
 
 def _cmd_torus(args) -> int:
+    if args.out and Path(args.out).suffix != ".json":
+        raise ValueError(f"unknown report suffix {Path(args.out).suffix!r} (use .json)")
     _check_writable(args.out, args.histogram)
     report = run_torus_experiment()
     labels = ("A", "B", "C")

@@ -1,11 +1,10 @@
 """Undirected graphs with dense integer node ids, plus file ingestion.
 
 Graphs are immutable after construction: node ids are always the dense range
-0..N-1, and a graph holds only its structure and optional origin labels.
-The structure is stored as read-only numpy arrays in compressed sparse row
-(CSR) form: node v's neighbors are ``indices[indptr[v]:indptr[v + 1]]`` in
-ascending order, and ``edge_array`` holds every edge once as a canonical
-(min, max) row, sorted lexicographically. The arrays are built with numpy
+0..N-1, and a graph holds only its structure, as read-only numpy arrays in
+compressed sparse row (CSR) form: node v's neighbors are
+``indices[indptr[v]:indptr[v + 1]]`` in ascending order, and ``edge_array``
+holds every edge once as a canonical (min, max) row, sorted lexicographically. The arrays are built with numpy
 sorts rather than per-edge Python objects, so every layer can work on them
 vectorised, and a fixed edge order keeps every downstream matrix row order
 reproducible.
@@ -78,9 +77,6 @@ class Graph:
         Iterable of id pairs, or an (E, 2) integer array. Pairs are
         canonicalized and deduplicated; self-loops, out-of-range endpoints
         and anything that is not a pair of integers raise GraphError.
-    original_labels:
-        Optional map id -> string recording where a node came from
-        (GraphML id, parent-graph id, originating edge, ...).
 
     Attributes
     ----------
@@ -92,9 +88,9 @@ class Graph:
         order; ``edges`` is the same as a tuple of pairs.
     """
 
-    __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "original_labels", "_edges")
+    __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "_edges")
 
-    def __init__(self, num_nodes, edges, original_labels=None):
+    def __init__(self, num_nodes, edges):
         n = self.num_nodes = int(_integers(num_nodes, ()))
         if n < 0:
             raise GraphError(f"negative node count {n}")
@@ -111,9 +107,9 @@ class Graph:
         # CSR order, and dropping repeats removes duplicate edges
         keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        self._store(n, *np.divmod(keys, n), original_labels)
+        self._store(n, *np.divmod(keys, n))
 
-    def _store(self, n: int, rows, cols, original_labels) -> "Graph":
+    def _store(self, n: int, rows, cols) -> "Graph":
         """Set every field from the (row, col) entries of both edge directions,
         given in CSR order (row-major, no repeats): nothing here checks them."""
         self.num_nodes = n
@@ -125,7 +121,6 @@ class Graph:
         for a in (self.indptr, self.indices, self.edge_array):
             a.flags.writeable = False
         self._edges = None
-        self.original_labels = dict(original_labels) if original_labels else None
         return self
 
     # -- basic accessors ---------------------------------------------------
@@ -181,25 +176,6 @@ class Graph:
             raise GraphError(f"no edge {tuple(pairs[found.argmin()].tolist())}")
         return rows
 
-    def degree(self, v: int) -> int:
-        """Number of incident edges of v."""
-        (v,) = self.node_ids([v])
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Adjacent node ids in ascending order."""
-        (v,) = self.node_ids([v])
-        return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True iff u and v are adjacent; False for integers outside 0..N-1."""
-        u, v = _integers([u, v], (2,)).tolist()
-        if u == v or not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-            return False
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        i = lo + np.searchsorted(self.indices[lo:hi], v)
-        return bool(i < hi and self.indices[i] == v)
-
     def max_degree(self) -> int:
         return int(self.degrees.max(initial=0))
 
@@ -212,25 +188,11 @@ class Graph:
         offsets = np.cumsum(lengths) - lengths
         return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
-    def is_connected(self) -> bool:
-        """True iff the graph has a single connected component (N >= 1)."""
-        if self.num_nodes == 0:
-            raise GraphError("connectivity is undefined for the empty graph")
-        seen = np.zeros(self.num_nodes, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            reached = self.indices[self._row_slots(frontier)]
-            frontier = np.unique(reached[~seen[reached]])
-            seen[frontier] = True
-        return bool(seen.all())
-
     def induced_subgraph(self, keep) -> "Graph":
         """Subgraph on `keep` with all internal edges, relabeled to 0..k-1.
 
-        Kept nodes are relabeled in ascending parent-id order; each new node's
-        original_labels entry records the parent label (or the parent id when
-        the parent graph is unlabeled).
+        Kept nodes are relabeled in ascending parent-id order: new node i is
+        the i-th smallest distinct id of `keep`.
         """
         kept = np.sort(self.node_ids(keep))
         kept = kept[np.diff(kept, prepend=-1) != 0]
@@ -243,19 +205,15 @@ class Graph:
         # new ids keep the parent order, so the kept entries are in CSR order;
         # on such scattered masks, indices gather faster than a boolean mask
         inside = np.flatnonzero(dst >= 0)
-
-        parent = self.original_labels or {}
-        labels = {i: parent[v] if v in parent else str(v)
-                  for i, v in enumerate(kept.tolist())}
-        return Graph.__new__(Graph)._store(len(kept), src[inside], dst[inside], labels)
+        return Graph.__new__(Graph)._store(len(kept), src[inside], dst[inside])
 
     def _keep_edges(self, keep: np.ndarray) -> "Graph":
-        """Same nodes and labels, only the edges where the boolean `keep` is set."""
+        """Same nodes, only the edges where the boolean `keep` is set."""
         n = self.num_nodes
         u, v = np.compress(keep, self.edge_array, axis=0).T
         # the (u, v) keys are sorted already; the stable sort merges two runs
         keys = np.sort(np.concatenate((u * n + v, np.sort(v * n + u))), kind="stable")
-        return Graph.__new__(Graph)._store(n, *np.divmod(keys, n), self.original_labels)
+        return Graph.__new__(Graph)._store(n, *np.divmod(keys, n))
 
     # -- dunder ------------------------------------------------------------
 
@@ -294,9 +252,8 @@ def _local_name(tag) -> str:
 def load_graphml(path) -> Graph:
     """Read an undirected GraphML file.
 
-    Nodes are relabeled to 0..N-1 in document order; the original string ids
-    are kept in ``original_labels``. Only node ids and edge endpoints are
-    read; other attributes are ignored. Self-loops and duplicate edges in the
+    Nodes are relabeled to 0..N-1 in document order. Only node ids and edge
+    endpoints are read; other attributes are ignored. Self-loops and duplicate edges in the
     file are dropped. A directed edge declaration (``edgedefault="directed"``
     or a per-edge ``directed="true"``) raises DirectedGraphError.
     """
@@ -341,9 +298,7 @@ def load_graphml(path) -> Graph:
         if src == dst:
             continue
         edges.append((ids[src], ids[dst]))
-
-    labels = {i: raw for raw, i in ids.items()}
-    return Graph(len(ids), edges, original_labels=labels)
+    return Graph(len(ids), edges)
 
 
 # -- plain edge-list text format --------------------------------------------

@@ -1,4 +1,4 @@
-"""Line-graph transformation with provenance back to the original edges.
+"""Line-graph transformation.
 
 The line graph L(G) has one node per edge of G, with two nodes adjacent iff
 the originating edges share an endpoint. Each original node of degree d
@@ -17,19 +17,17 @@ from .graph import Graph, GraphError
 
 @dataclass(frozen=True)
 class LineGraphResult:
-    """A line graph plus the map from its node ids to the original edges."""
+    """A line graph; node i of ``graph`` is row i of the parent's ``edge_array``."""
 
     graph: Graph
-    node_origin: dict
 
 
 def line_graph(g: Graph) -> LineGraphResult:
-    """Build L(G). New node ids follow the lexicographic order of g.edges.
+    """Build L(G), whose node i is the edge ``g.edge_array[i]`` (``g.edges[i]``).
 
-    The node_origin map records new id -> originating (u, v) pair, and the
-    returned graph's original_labels carry "u-v" strings (using the parent's
-    labels when it has any). Construction is quadratic in the largest degree,
-    which is accepted: each degree-d node emits its d-choose-2 clique edges.
+    New node ids therefore follow the lexicographic order of g.edges.
+    Construction is quadratic in the largest degree, which is accepted: each
+    degree-d node emits its d-choose-2 clique edges.
     """
     if g.num_edges == 0:
         raise GraphError("line graph of an edgeless graph is undefined here")
@@ -43,13 +41,7 @@ def line_graph(g: Graph) -> LineGraphResult:
     run_start = np.repeat(np.cumsum(later) - later, later)
     second = first + 1 + np.arange(len(first)) - run_start
     new_edges = np.column_stack((slot_edge[first], slot_edge[second]))
-
-    parent = g.original_labels or {}
-    names = [parent.get(v, str(v)) for v in g.nodes]
-    origin = dict(enumerate(g.edges))
-    labels = {i: f"{names[u]}-{names[v]}" for i, (u, v) in origin.items()}
-    lg = Graph(g.num_edges, new_edges, original_labels=labels)
-    return LineGraphResult(graph=lg, node_origin=origin)
+    return LineGraphResult(graph=Graph(g.num_edges, new_edges))
 
 
 def edge_pair_count(g: Graph) -> int:
@@ -57,4 +49,5 @@ def edge_pair_count(g: Graph) -> int:
 
     This is |E(L(G))|, kept as an independent size oracle for line_graph.
     """
-    return sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in g.nodes)
+    d = g.degrees
+    return int((d * (d - 1) // 2).sum())

@@ -30,7 +30,8 @@ def labeled_signature_vector(g: Graph, i: int) -> np.ndarray:
 
     The self slot l = i takes the "otherwise" branch, i.e. deg(v_i).
     """
-    s = np.full(g.num_nodes, g.degree(i), dtype=np.int64)
+    (i,) = g.node_ids([i])
+    s = np.full(g.num_nodes, g.degrees[i], dtype=np.int64)
     nbrs = g.indices[g.indptr[i]:g.indptr[i + 1]]
     s[nbrs] = g.degrees[nbrs]
     return s
@@ -41,7 +42,7 @@ def _ls_product(g: Graph, i: int) -> int:
     s = labeled_signature_vector(g, i)  # checks the id before i indexes anything
     row = np.zeros(g.num_nodes, dtype=np.int64)
     row[g.indices[g.indptr[i]:g.indptr[i + 1]]] = -1
-    row[i] = g.degree(i)
+    row[i] = g.degrees[i]
     return int(row @ s)
 
 

@@ -37,7 +37,7 @@ def lift_to_3d(g2d: Graph) -> Graph:
     """Two copies of g2d joined by one vertical edge per node.
 
     Node v of the flat graph becomes v (bottom) and v + N (top), so
-    N' = 2N and |E'| = 2|E| + N. Node labels are not carried over.
+    N' = 2N and |E'| = 2|E| + N.
     """
     n = g2d.num_nodes
     edges = list(g2d.edges)

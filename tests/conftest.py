@@ -4,7 +4,10 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from riccialign import Graph, RngHandle, experiments, lift_to_3d, triangular_ring_2d
 
@@ -36,19 +39,20 @@ def random_connected_graph(n: int, seed: int, extra: float = 0.2) -> Graph:
     return experiments.random_connected_graph(n, RngHandle(seed), extra)
 
 
+def is_connected(g: Graph) -> bool:
+    """One connected component, counted by scipy from the edge list alone."""
+    u, v = g.edge_array.T
+    adj = coo_array((np.ones(g.num_edges), (u, v)), shape=(g.num_nodes, g.num_nodes))
+    return connected_components(adj, directed=False, return_labels=False) == 1
+
+
 def write_graphml(g: Graph, path, edgedefault: str = "undirected") -> None:
-    """Minimal GraphML writer for test inputs."""
+    """Minimal GraphML writer for test inputs; node v gets the id `n{v}`."""
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
              f'  <graph id="G" edgedefault="{edgedefault}">']
-    for v in g.nodes:
-        label = g.original_labels.get(v, f"n{v}") if g.original_labels else f"n{v}"
-        lines.append(f'    <node id="{label}"/>')
-    label_of = (g.original_labels.get if g.original_labels else None)
-    for u, v in g.edges:
-        su = label_of(u, f"n{u}") if label_of else f"n{u}"
-        sv = label_of(v, f"n{v}") if label_of else f"n{v}"
-        lines.append(f'    <edge source="{su}" target="{sv}"/>')
+    lines += [f'    <node id="n{v}"/>' for v in g.nodes]
+    lines += [f'    <edge source="n{u}" target="n{v}"/>' for u, v in g.edges]
     lines += ["  </graph>", "</graphml>"]
     Path(path).write_text("\n".join(lines))
 

@@ -66,8 +66,7 @@ def test_curvature_laplacian_identity():
         cases += [random_connected_graph(rng.randint(2, 30), seed)
                   for seed in range(100)]
         for g in cases:
-            for v in g.nodes:
-                d = g.degree(v)
+            for v, d in enumerate(g.degrees.tolist()):
                 assert curvature_laplacian_residual(g, v) == 2 * d * (1 - d)
 
 
@@ -115,8 +114,7 @@ def test_line_graph_identities():
         lclaw = line_graph(from_edge_list([(0, 1), (0, 2), (0, 3)])).graph
         for lg in (lk3, lclaw):
             assert lg.num_nodes == 3 and lg.num_edges == 3  # both are K3
-        assert sorted(lk3.degree(v) for v in lk3.nodes) == \
-            sorted(lclaw.degree(v) for v in lclaw.nodes)
+        assert sorted(lk3.degrees.tolist()) == sorted(lclaw.degrees.tolist())
 
 
 def test_ppi_reproduction(ppi_graphml):

@@ -80,7 +80,7 @@ def test_ricci_rows_have_degree_many_nonzeros(example_graph, lifted_torus):
     for g in (example_graph, lifted_torus):
         m = ricci_matrix(g, g.max_degree())
         for v in g.nodes:
-            assert int((m.rows[v] != 0).sum()) == g.degree(v)
+            assert int((m.rows[v] != 0).sum()) == g.degrees[v]
 
 
 def test_cost_matrix_zero_diagonal(example_graph):

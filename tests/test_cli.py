@@ -169,6 +169,14 @@ def test_ppi_command_requires_input():
         main(["ppi", "--rounds", "1"])
 
 
+def test_ppi_command_config_file_skips_blank_lines(capsys, tmp_path, tiny_graphml):
+    args = tmp_path / "run.args"
+    args.write_text(f"--input={tiny_graphml}\n--size=50\n\n  \n--intermediate=100\n\n")
+    out = tmp_path / "report.csv"
+    assert main(["ppi", f"@{args}", "--rounds", "1", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "round,correct,percentage"
+
+
 def test_ppi_command_rejects_unknown_config_key(capsys, tmp_path, tiny_graphml):
     args = tmp_path / "run.args"
     args.write_text(f"--input={tiny_graphml}\n--bogus=1\n")
@@ -216,8 +224,19 @@ def test_align_command_reports_a_directory_input(capsys, tmp_path):
 
 
 def test_torus_command_reports_a_directory_output(capsys, tmp_path):
-    assert main(["torus", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "torus.json"
+    out.mkdir()
+    assert main(["torus", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["torus.csv", "torus"], ids=["csv", "no-suffix"])
+def test_torus_command_rejects_a_non_json_out_before_the_run(capsys, tmp_path, name):
+    assert main(["torus", "--out", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown report suffix ")
+    assert "class A" not in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_torus_command_checks_both_output_paths_before_the_run(capsys, tmp_path):

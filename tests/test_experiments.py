@@ -26,7 +26,7 @@ from riccialign import (
 )
 from riccialign.experiments import RoundResult, load_graph, random_connected_graph
 
-from conftest import preferential_attachment_graph, write_graphml
+from conftest import is_connected, preferential_attachment_graph, write_graphml
 
 
 def test_torus_experiment_classes():
@@ -77,7 +77,7 @@ def test_random_connected_graph_is_connected_and_seeded():
     a = random_connected_graph(25, RngHandle(1))
     b = random_connected_graph(25, RngHandle(1))
     assert a == b
-    assert a.is_connected()
+    assert is_connected(a)
     assert a.num_nodes == 25
 
 

@@ -11,6 +11,12 @@ from riccialign import (
 )
 
 from conftest import random_connected_graph
+from test_properties import Reference, reference_subgraph_edges, reference_walk
+
+
+def walked_ids(g, size, seed):
+    """The parent ids a walk of `size` on g collects, by the tuple reference."""
+    return reference_walk(Reference(g.num_nodes, g.edges), size, RngHandle(seed))
 
 
 def test_rng_handle_replays_by_seed():
@@ -52,17 +58,17 @@ def test_sample_on_torus_is_deterministic(lifted_torus):
     first = random_walk_sample(lifted_torus, 10, RngHandle(42))
     second = random_walk_sample(lifted_torus, 10, RngHandle(42))
     assert first == second
-    parents = sorted(int(x) for x in first.original_labels.values())
-    assert parents == [0, 1, 2, 7, 8, 18, 19, 23, 25, 26]
+    visited = walked_ids(lifted_torus, 10, 42)
+    assert sorted(visited) == [0, 1, 2, 7, 8, 18, 19, 23, 25, 26]
+    assert first == lifted_torus.induced_subgraph(visited)
 
 
 def test_sample_is_induced_subgraph(lifted_torus):
     sample = random_walk_sample(lifted_torus, 12, RngHandle(9))
-    parent = {i: int(lab) for i, lab in sample.original_labels.items()}
-    for i in sample.nodes:
-        for j in sample.nodes:
-            if i < j:
-                assert sample.has_edge(i, j) == lifted_torus.has_edge(parent[i], parent[j])
+    visited = walked_ids(lifted_torus, 12, 9)
+    assert sample == lifted_torus.induced_subgraph(visited)
+    ref = Reference(lifted_torus.num_nodes, lifted_torus.edges)
+    assert sample.edges == reference_subgraph_edges(ref, visited)
 
 
 def test_sample_size_validation(lifted_torus):

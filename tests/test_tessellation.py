@@ -1,6 +1,8 @@
+import numpy as np
+
 from riccialign import from_edge_list, lift_to_3d, node_curvatures, triangular_ring_2d
 
-from conftest import random_connected_graph
+from conftest import is_connected, random_connected_graph
 
 
 def test_triangular_ring_counts():
@@ -11,37 +13,37 @@ def test_triangular_ring_counts():
 
 def test_triangular_ring_degree_classes():
     g = triangular_ring_2d()
-    assert [g.degree(v) for v in range(6)] == [5] * 6
+    assert g.degrees[:6].tolist() == [5] * 6
     # outer ring alternates between touching two inner nodes and one
-    assert [g.degree(v) for v in range(6, 18)] == [4, 3] * 6
+    assert g.degrees[6:].tolist() == [4, 3] * 6
 
 
 def test_lift_torus_counts(lifted_torus):
     assert lifted_torus.num_nodes == 36
     assert lifted_torus.num_edges == 90
-    assert lifted_torus.degree(0) == 6  # inner hexagon: 5 in-plane plus vertical
+    assert lifted_torus.degrees[0] == 6  # inner hexagon: 5 in-plane plus vertical
 
 
 def test_lift_k2_is_four_cycle():
     lifted = lift_to_3d(from_edge_list([(0, 1)]))
     assert lifted.num_nodes == 4
     assert lifted.num_edges == 4
-    assert all(lifted.degree(v) == 2 for v in lifted.nodes)
-    assert lifted.is_connected()
+    assert lifted.degrees.tolist() == [2] * 4
+    assert is_connected(lifted)
 
 
 def test_lift_increments_every_degree():
     g = random_connected_graph(15, seed=4)
     lifted = lift_to_3d(g)
-    for v in g.nodes:
-        assert lifted.degree(v) == g.degree(v) + 1
-        assert lifted.degree(v + g.num_nodes) == g.degree(v) + 1
+    n = g.num_nodes
+    assert np.array_equal(lifted.degrees[:n], g.degrees + 1)
+    assert np.array_equal(lifted.degrees[n:], g.degrees + 1)
 
 
 def test_lift_preserves_connectivity():
     for seed in range(5):
         g = random_connected_graph(12, seed)
-        assert lift_to_3d(g).is_connected()
+        assert is_connected(lift_to_3d(g))
 
 
 def test_torus_curvature_classes_locate_the_hole(lifted_torus):
