@@ -10,9 +10,9 @@ vectorised, and a fixed edge order keeps every downstream matrix row order
 reproducible.
 
 Graphs derived from a valid Graph (``induced_subgraph``, the edges kept by
-``delete_edges_randomly``) skip the constructor's checks and full sort: their
-entries come out of the parent's arrays in CSR order, or as two sorted runs
-that one stable sort merges, and the constructor's own helper stores them.
+``delete_edges_randomly``, ``line_graph``) skip the constructor's checks and
+full sort: their entries come from the parent's arrays in CSR order, as two
+sorted runs one stable sort merges, or as the line graph's finished CSR rows.
 """
 
 from __future__ import annotations
@@ -112,13 +112,16 @@ class Graph:
     def _store(self, n: int, rows, cols) -> "Graph":
         """Set every field from the (row, col) entries of both edge directions,
         given in CSR order (row-major, no repeats): nothing here checks them."""
-        self.num_nodes = n
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         forward = rows < cols
-        self.indices = cols
-        self.edge_array = np.column_stack((rows[forward], cols[forward]))
-        for a in (self.indptr, self.indices, self.edge_array):
+        return self._set_csr(n, indptr, cols, np.column_stack((rows[forward], cols[forward])))
+
+    def _set_csr(self, n: int, indptr, indices, edge_array) -> "Graph":
+        """Set and freeze every field from finished int64 CSR arrays, unchecked."""
+        self.num_nodes = n
+        self.indptr, self.indices, self.edge_array = indptr, indices, edge_array
+        for a in (indptr, indices, edge_array):
             a.flags.writeable = False
         self._edges = None
         return self

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import numbers
 import random
+import threading
 
 import numpy as np
 
 from .graph import Graph, GraphError, _integers
+
+_thread = threading.local()  # one numpy Mersenne Twister per thread, for the deletion
 
 
 class RngHandle:
@@ -103,13 +106,16 @@ def delete_edges_randomly(g: Graph, p: float, rng: RngHandle) -> Graph:
     numpy's MT19937 makes a double from two 32-bit words as CPython's
     `random()` does, so one numpy draw on the handle's own Mersenne Twister
     state gives the uniforms, and leaves the state, of one call per edge.
+    When every edge is kept (always at p=0) the result is `g` itself.
     """
     _check_probability(p)
     version, internal, gauss_next = rng.generator.getstate()
-    bits = np.random.MT19937(0)  # the seed's state is replaced at once
+    if not hasattr(_thread, "draw"):  # seeded once: the handle's state replaces it
+        _thread.draw = np.random.Generator(np.random.MT19937(0))
     key = np.array(internal[:-1], dtype=np.uint32)
+    bits = _thread.draw.bit_generator
     bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
-    draws = np.random.Generator(bits).random(g.num_edges)
+    keep = _thread.draw.random(g.num_edges) >= p
     state = bits.state["state"]
     rng.generator.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
-    return g._keep_edges(draws >= p)
+    return g if keep.all() else g._keep_edges(keep)

@@ -2,6 +2,7 @@
 
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,17 @@ def is_connected(g: Graph) -> bool:
     u, v = g.edge_array.T
     adj = coo_array((np.ones(g.num_edges), (u, v)), shape=(g.num_nodes, g.num_nodes))
     return connected_components(adj, directed=False, return_labels=False) == 1
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def write_graphml(g: Graph, path, edgedefault: str = "undirected") -> None:

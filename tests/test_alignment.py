@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -24,7 +23,7 @@ from riccialign import (
     write_assignment_csv,
 )
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, traced_peak
 
 CLAW = [(0, 1), (0, 2), (0, 3)]
 K3 = [(0, 1), (0, 2), (1, 2)]
@@ -192,12 +191,7 @@ def test_cost_matrix_peak_memory_is_about_the_output():
     deg = rng.integers(1, m + 1, size=n)
     rows = np.where(np.arange(m) < deg[:, None], rng.integers(-300, 30, size=(n, m)), 0)
     sig = SignatureMatrix(rows=rows, mode="ricci")
-    tracemalloc.start()
-    try:
-        c = cost_matrix(sig, sig)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    c, peak = traced_peak(lambda: cost_matrix(sig, sig))
     assert c.shape == (n, n)
     assert peak < 1.5 * n * n * 8
 
@@ -415,12 +409,7 @@ def test_align_peak_memory_on_equal_multisets_is_below_the_cost_matrix():
     pairs = np.random.default_rng(0).integers(0, n, size=(5 * n, 2)).tolist()
     g = Graph(n, [(u, v) for u, v in pairs if u != v])
     h = relabelled(g, 1)
-    tracemalloc.start()
-    try:
-        result = align(g, h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(lambda: align(g, h))
     assert result.total_cost == 0.0
     assert peak < 0.5 * n * n * 8
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from riccialign import (
@@ -6,9 +7,10 @@ from riccialign import (
     edge_pair_count,
     from_edge_list,
     line_graph,
+    linegraph,
 )
 
-from conftest import is_connected, random_connected_graph, random_graph
+from conftest import is_connected, random_connected_graph, random_graph, traced_peak
 
 K3 = [(0, 1), (0, 2), (1, 2)]
 CLAW = [(0, 1), (0, 2), (0, 3)]
@@ -93,3 +95,12 @@ def test_incident_edges_become_cliques():
             for a in range(len(ids)):
                 for b in range(a + 1, len(ids)):
                     assert (min(ids[a], ids[b]), max(ids[a], ids[b])) in line_edges
+
+
+def test_line_graph_peak_memory_is_about_the_output():
+    # the result plus one chunk: no sort of all of L(G)'s entries next to it
+    pairs = np.random.default_rng(0).integers(0, 1000, size=(15000, 2))
+    g = Graph(1000, pairs[pairs[:, 0] != pairs[:, 1]])
+    lg, peak = traced_peak(lambda: line_graph(g).graph)
+    assert lg.indices.size >= 8 * linegraph._CHUNK_ENTRIES
+    assert peak <= 1.5 * (lg.indptr.nbytes + lg.indices.nbytes + lg.edge_array.nbytes)

@@ -8,6 +8,7 @@ cost that does not depend on G2's node ids.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from riccialign import (
     labeled_signature_vector,
     laplacian,
     line_graph,
+    linegraph,
     node_curvatures,
     random_walk_sample,
     ricci_matrix,
@@ -244,6 +246,43 @@ def test_deletion_edge_cases_store_what_the_constructor_would(p, kept):
     out = delete_edges_randomly(g, p, RngHandle(2))
     assert_stored_like_the_constructor(out)
     assert out.num_edges == kept
+
+
+def clique_pairs(g):
+    """Every pair of edge ids that share an endpoint, by a loop over nodes."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    ref = Reference(g.num_nodes, g.edges)
+    return [pair for v in range(g.num_nodes)
+            for pair in combinations([index[min(v, w), max(v, w)] for w in ref.adj[v]], 2)]
+
+
+def assert_line_graph_like_the_constructor(g, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linegraph, "_CHUNK_ENTRIES", chunk)
+        lg = line_graph(g).graph
+    assert_stored_like_the_constructor(lg)
+    ref = Graph(g.num_edges, clique_pairs(g))
+    for name in ("indptr", "indices", "edge_array"):
+        assert np.array_equal(getattr(lg, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@property_test
+@given(edge_lists())
+def test_line_graph_chunks_store_what_the_constructor_would(chunk, data):
+    n, pairs = data
+    g = Graph(n, pairs)
+    if g.num_edges:
+        assert_line_graph_like_the_constructor(g, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_line_graph_chunks_hold_empty_and_overlong_rows(chunk):
+    # a 9-leaf star, whose rows gather 10 ids, then two lone edges and a path
+    g = Graph(18, [(0, v) for v in range(1, 10)] + [(10, 11), (12, 13), (14, 15), (15, 16)])
+    lg = line_graph(g).graph
+    assert lg.degrees.tolist() == [8] * 9 + [0, 0, 1, 1]
+    assert_line_graph_like_the_constructor(g, chunk)
 
 
 @property_test

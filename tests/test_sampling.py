@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -99,8 +101,8 @@ def test_sample_reaches_isolated_node():
 
 
 def test_delete_edges_p_zero_keeps_everything(lifted_torus):
-    out = delete_edges_randomly(lifted_torus, 0.0, RngHandle(1))
-    assert out == lifted_torus
+    # the graph itself, not an equal copy
+    assert delete_edges_randomly(lifted_torus, 0.0, RngHandle(1)) is lifted_torus
 
 
 def test_delete_edges_p_one_removes_everything(lifted_torus):
@@ -146,3 +148,31 @@ def test_deletion_hands_the_stream_back_like_per_edge_draws(num_edges, seed, gau
     assert kept.edges == tuple(e for e in g.edges if ref.random() >= 0.3)
     assert rng.generator.getstate() == ref.getstate()
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_deletion_leaves_the_state_of_per_edge_draws_at_any_p(lifted_torus, p):
+    rng, ref = RngHandle(5), random.Random(5)
+    kept = delete_edges_randomly(lifted_torus, p, rng)
+    assert kept.edges == tuple(e for e in lifted_torus.edges if ref.random() >= p)
+    assert rng.generator.getstate() == ref.getstate()
+
+
+def test_deletion_in_threads_matches_sequential_calls():
+    g = from_edge_list([(i, i + 1) for i in range(3000)])
+    seeds = range(4)  # more threads than cores
+
+    def rounds(seed):
+        rng = RngHandle(seed)
+        kept = [delete_edges_randomly(g, 0.3, rng) for _ in range(30)]
+        return kept, rng.generator.getstate()
+
+    sequential = [rounds(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            threaded = [f.result(timeout=60) for f in [pool.submit(rounds, s) for s in seeds]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
