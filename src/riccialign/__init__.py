@@ -19,17 +19,13 @@ from .graph import (
 )
 from .curvature import (
     curvature_distribution,
+    curvature_laplacian_holds,
+    curvature_laplacian_residuals,
     edge_curvatures,
     node_curvatures,
     write_distribution_csv,
 )
 from .tessellation import lift_to_3d, triangular_ring_2d
-from .spectral import (
-    curvature_laplacian_holds,
-    curvature_laplacian_residual,
-    labeled_signature_vector,
-    laplacian,
-)
 from .linegraph import LineGraphResult, edge_pair_count, line_graph
 from .sampling import RngHandle, delete_edges_randomly, random_walk_sample
 from .alignment import (
@@ -60,10 +56,8 @@ __all__ = [
     "Graph", "GraphError", "GraphMLError", "DirectedGraphError",
     "from_edge_list", "load_graphml", "read_edge_list", "write_edge_list",
     "edge_curvatures", "node_curvatures", "curvature_distribution",
-    "write_distribution_csv",
+    "write_distribution_csv", "curvature_laplacian_residuals", "curvature_laplacian_holds",
     "triangular_ring_2d", "lift_to_3d",
-    "laplacian", "labeled_signature_vector",
-    "curvature_laplacian_residual", "curvature_laplacian_holds",
     "LineGraphResult", "line_graph", "edge_pair_count",
     "RngHandle", "random_walk_sample", "delete_edges_randomly",
     "SignatureMatrix", "Assignment", "common_max_degree", "degree_matrix",

@@ -13,6 +13,7 @@ the sorted rows instead, without building the cost matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -155,9 +156,9 @@ def hungarian(cost) -> Assignment:
     Solved by scipy's `linear_sum_assignment`, a shortest-augmenting-path
     method (Crouse, IEEE TAES 2016). It is deterministic for a given
     matrix; which of several equal-cost optima it returns is scipy's
-    choice. Requires finite nonnegative entries. `total_cost` adds the
-    chosen entries one after another in ascending column order;
-    `row_costs` lists them by row.
+    choice. Requires finite nonnegative entries. `row_costs` lists the
+    chosen entries by row, and `total_cost` is their correctly rounded sum
+    (`math.fsum`), which does not depend on the order of rows or columns.
     """
     # imported here: scipy.optimize more than triples `import riccialign`
     from scipy.optimize import linear_sum_assignment
@@ -170,12 +171,10 @@ def hungarian(cost) -> Assignment:
     if c.size and c.min() < 0:
         raise GraphError("cost matrix contains negative entries")
 
-    n = c.shape[0]
     _, cols = linear_sum_assignment(c)  # rows come back as 0..n-1
-    row_of_col = np.argsort(cols)
-    total = float(np.cumsum(c[row_of_col, np.arange(n)])[-1]) if n else 0.0
-    return Assignment(mapping=dict(zip(row_of_col.tolist(), range(n))), total_cost=total,
-                      row_costs=tuple(c[np.arange(n), cols].tolist()))
+    row_costs = c[np.arange(c.shape[0]), cols].tolist()
+    return Assignment(mapping=dict(enumerate(cols.tolist())), total_cost=math.fsum(row_costs),
+                      row_costs=tuple(row_costs))
 
 
 def _equal_rows_assignment(rows1: np.ndarray, rows2: np.ndarray) -> Assignment | None:

@@ -2,8 +2,13 @@
 
 The curvature of an edge {v1, v2} is 2 - deg(v1) - deg(v2), and a node's
 curvature is the sum over its incident edges; this is the form RMC uses.
-All functions are pure; evaluating them concurrently over an immutable graph
-is safe.
+With L = D - A the Laplacian and s_i the labeled signature vector of node i
+(s_l = deg_l for l a neighbour of i, deg_i otherwise), every node satisfies
+
+    Ric(v_i) - (L s_i^T)_i = 2 deg_i (1 - deg_i),
+
+which `curvature_laplacian_holds` checks on a whole graph at once. All
+functions are pure, so evaluating them concurrently on one graph is safe.
 """
 
 from __future__ import annotations
@@ -27,6 +32,25 @@ def node_curvatures(g: Graph) -> list:
     out = np.zeros(g.num_nodes, dtype=np.int64)
     np.add.at(out, g.edge_array.ravel(), np.repeat(edge_curvatures(g), 2))
     return out.tolist()
+
+
+def curvature_laplacian_residuals(g: Graph) -> np.ndarray:
+    """int64 Ric(v_i) - (L s_i^T)_i of every node i; each equals 2 deg_i (1 - deg_i).
+
+    Row i of L = D - A is zero outside i's closed neighbourhood, where s_i
+    equals the degree vector, so (L s_i^T)_i = (L deg)_i = deg_i^2 minus the
+    sum of i's neighbours' degrees: one prefix sum over the CSR rows.
+    """
+    deg = g.degrees
+    prefix = np.concatenate(([0], np.cumsum(deg[g.indices])))
+    l_deg = deg * deg - (prefix[g.indptr[1:]] - prefix[g.indptr[:-1]])
+    return np.asarray(node_curvatures(g), dtype=np.int64) - l_deg
+
+
+def curvature_laplacian_holds(g: Graph) -> bool:
+    """Whether the curvature-Laplacian identity holds at every node of g."""
+    d = g.degrees
+    return np.array_equal(curvature_laplacian_residuals(g), 2 * d * (1 - d))
 
 
 def curvature_distribution(g: Graph) -> list[tuple]:

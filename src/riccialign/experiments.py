@@ -18,9 +18,8 @@ from pathlib import Path
 
 from ._version import __version__
 from .graph import Graph, GraphError, _integers, load_graphml, read_edge_list
-from .curvature import curvature_distribution, node_curvatures
+from .curvature import curvature_distribution, curvature_laplacian_holds, node_curvatures
 from .tessellation import triangular_ring_2d, lift_to_3d
-from .spectral import curvature_laplacian_holds
 from .linegraph import line_graph
 from .sampling import RngHandle, _check_probability, random_walk_sample, delete_edges_randomly
 from .alignment import MODES, align, ricci_matrix, score_alignment
@@ -28,6 +27,15 @@ from .alignment import MODES, align, ricci_matrix, score_alignment
 
 class ExperimentError(RuntimeError):
     """A pipeline stage could not produce what the configuration asked for."""
+
+
+def _check_integers(**values) -> None:
+    """Raise GraphError, naming the field, unless every value is an integer."""
+    for name, value in values.items():
+        try:
+            _integers(value, ())
+        except GraphError as exc:
+            raise GraphError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -43,11 +51,8 @@ class ExperimentConfig:
     mode: str = "rmc"
 
     def __post_init__(self):
-        for name in ("intermediate_sample_size", "subgraph_size", "rounds", "seed"):
-            try:
-                _integers(getattr(self, name), ())
-            except GraphError as exc:
-                raise GraphError(f"{name}: {exc}") from None
+        _check_integers(**{name: getattr(self, name) for name in
+                           ("intermediate_sample_size", "subgraph_size", "rounds", "seed")})
         if self.subgraph_size > self.intermediate_sample_size:
             raise GraphError("subgraph_size must not exceed intermediate_sample_size")
         if self.subgraph_size <= 0:
@@ -250,6 +255,7 @@ def run_cle_verification(num_graphs: int = 100, max_n: int = 30,
     the line graphs of the triangle and the claw, then `num_graphs` seeded
     random connected graphs with 2..max_n nodes.
     """
+    _check_integers(num_graphs=num_graphs, max_n=max_n)
     if num_graphs < 0:
         raise GraphError(f"num_graphs must be >= 0, got {num_graphs}")
     if max_n < 2:

@@ -17,6 +17,7 @@ import numpy as np
 from .graph import Graph, GraphError, _integers
 
 _thread = threading.local()  # one numpy Mersenne Twister per thread, for the deletion
+_MAX_STAGNANT = 100  # stagnant walk steps before a jump to an unvisited node
 
 
 class RngHandle:
@@ -46,15 +47,14 @@ class RngHandle:
         return f"RngHandle(seed={self.seed})"
 
 
-def random_walk_sample(g: Graph, size: int, rng: RngHandle,
-                       max_iter: int = 100) -> Graph:
+def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     """Induced subgraph on `size` nodes collected by a random walk.
 
     The walk starts at a uniform random node and repeatedly moves to a
     uniform random neighbor (or a uniform random node of the whole graph
     when the current node is isolated). Steps that revisit known nodes
-    count toward a stagnation counter; after max_iter stagnant steps the
-    walk jumps to a uniform random not-yet-collected node (the jump target
+    count toward a stagnation counter; after ``_MAX_STAGNANT`` stagnant steps
+    the walk jumps to a uniform random not-yet-collected node (the jump target
     itself is only collected once the walk steps onto it through the usual
     rule). The counter resets on progress and on jumps.
     """
@@ -62,15 +62,13 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle,
         raise GraphError(f"sample size must be positive, got {size}")
     if size > g.num_nodes:
         raise GraphError(f"sample size {size} exceeds graph size {g.num_nodes}")
-    if _integers(max_iter, ()) <= 0:
-        raise GraphError(f"max_iter must be positive, got {max_iter}")
 
     all_nodes = g.nodes
     indptr, indices = g.indptr, g.indices
     current = rng.choice(all_nodes)
     visited = [current]
     visited_set = {current}
-    stagnant = 0
+    stagnant, max_stagnant = 0, _MAX_STAGNANT
 
     while len(visited) < size:
         lo, hi = indptr[current], indptr[current + 1]
@@ -83,7 +81,7 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle,
             stagnant = 0
         else:
             stagnant += 1
-        if stagnant >= max_iter:
+        if stagnant >= max_stagnant:
             potential = sorted(set(all_nodes) - visited_set)
             nxt = rng.choice(potential)
             stagnant = 0

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import coo_array, csr_array
+from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, connected_components
 
 from riccialign import Graph, RngHandle, experiments, lift_to_3d, triangular_ring_2d
 
@@ -45,6 +45,62 @@ def is_connected(g: Graph) -> bool:
     u, v = g.edge_array.T
     adj = coo_array((np.ones(g.num_edges), (u, v)), shape=(g.num_nodes, g.num_nodes))
     return connected_components(adj, directed=False, return_labels=False) == 1
+
+
+def dense_laplacian(g: Graph) -> np.ndarray:
+    """The paper's integer Laplacian L = D - A as a dense N x N array."""
+    lap = np.zeros((g.num_nodes, g.num_nodes), dtype=np.int64)
+    for u, v in g.edges:
+        lap[u, v] = lap[v, u] = -1
+        lap[u, u] += 1
+        lap[v, v] += 1
+    return lap
+
+
+def labeled_signature_vector(g: Graph, i) -> np.ndarray:
+    """The paper's s_i: s_l = deg(v_l) for neighbours l of i, deg(v_i) otherwise.
+
+    The self slot l = i takes the "otherwise" branch. The id is checked
+    first, so a negative i cannot silently pick the last row.
+    """
+    (i,) = g.node_ids([i])
+    lap = dense_laplacian(g)
+    deg = np.diag(lap)
+    return np.where(lap[i] == -1, deg, deg[i])
+
+
+def certified_optimal(cost, cols) -> bool:
+    """Whether row i -> cols[i] is a minimum-cost assignment of `cost`, checked
+    without the solver: its exchange graph has no negative cycle.
+
+    The arc i -> k, row i taking row k's target, weighs c[i, cols[k]] -
+    c[i, cols[i]]; an assignment is optimal exactly when no cycle of such
+    exchanges lowers the total (LP duality, Kuhn 1955). Bellman-Ford from a
+    virtual source gives potentials p, and the check is p[k] <= p[i] + w(i, k)
+    on every arc. The arcs are explicit sparse entries: csgraph reads a zero
+    of a dense array as "no arc", and tied costs make many arcs weigh 0.
+
+    Tolerance: each entry is a correctly rounded square root of an exact
+    integer, within u*cmax of its true value (u = 2**-53, cmax the largest
+    entry), so a computed arc weight is within 3u*cmax of its true weight.
+    Bellman-Ford's running sums stay below 2n*cmax in size, so each of at
+    most n additions along a cycle rounds by at most 2n*u*cmax. Every arc is
+    raised by tol = 4n*u*cmax, which covers both, so an optimal assignment
+    always passes; one that passes is within n*tol of the optimum.
+    """
+    c = np.asarray(cost, dtype=np.float64)
+    n = c.shape[0]
+    tol = 4 * n * 2.0**-53 * c.max(initial=0.0)
+    weights = c[:, cols] - c[np.arange(n), cols][:, None] + tol
+    # nodes 0..n-1 are rows; node n is the source, with a 0-weight arc to each row
+    data = np.concatenate((weights.ravel(), np.zeros(n)))
+    graph = csr_array((data, np.tile(np.arange(n), n + 1), np.arange(n + 2) * n),
+                      shape=(n + 1, n + 1))
+    try:
+        p = bellman_ford(graph, directed=True, indices=n)[:n]
+    except NegativeCycleError:
+        return False
+    return bool((p[None, :] <= p[:, None] + weights).all())
 
 
 def traced_peak(fn):

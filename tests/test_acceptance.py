@@ -21,7 +21,7 @@ from riccialign import (
     common_max_degree,
     cost_matrix,
     curvature_distribution,
-    curvature_laplacian_residual,
+    curvature_laplacian_residuals,
     delete_edges_randomly,
     edge_pair_count,
     from_edge_list,
@@ -57,17 +57,19 @@ def test_curvature_worked_example():
         assert ricci_matrix(g, 8).rows[0].tolist() == [-27, -20, -2, 0, 0, 0, 0, 0]
 
 
-def test_curvature_laplacian_identity():
+def test_curvature_laplacian_identity(ppi_graphml):
     with criterion("curvature-Laplacian identity"):
+        intermediate = random_walk_sample(load_graphml(ppi_graphml), 1000, RngHandle(0))
         cases = [lift_to_3d(triangular_ring_2d()),
                  line_graph(from_edge_list([(0, 1), (0, 2), (1, 2)])).graph,
-                 line_graph(from_edge_list([(0, 1), (0, 2), (0, 3)])).graph]
+                 line_graph(from_edge_list([(0, 1), (0, 2), (0, 3)])).graph,
+                 line_graph(intermediate).graph]  # the PPI experiment's universe
         rng = random.Random(2024)
         cases += [random_connected_graph(rng.randint(2, 30), seed)
                   for seed in range(100)]
         for g in cases:
-            for v, d in enumerate(g.degrees.tolist()):
-                assert curvature_laplacian_residual(g, v) == 2 * d * (1 - d)
+            d = g.degrees
+            assert np.array_equal(curvature_laplacian_residuals(g), 2 * d * (1 - d))
 
 
 def test_torus_structure():

@@ -87,6 +87,13 @@ def test_cle_verification_all_pass():
     assert all(ok for _, ok in results)
 
 
+@pytest.mark.parametrize("field, value", [("num_graphs", 2.5), ("max_n", 7.5),
+                                          ("num_graphs", True), ("max_n", True)])
+def test_cle_verification_counts_must_be_integers(field, value):
+    with pytest.raises(GraphError, match=f"^{field}: expected integers"):
+        run_cle_verification(**{field: value})
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(GraphError):
         ExperimentConfig(input_path="x", intermediate_sample_size=10, subgraph_size=20)

@@ -1,39 +1,65 @@
 """Golden run of the PPI pipeline: per-round counts and total costs are pinned.
 
-The values were recorded with the tuple-backed Graph that preceded the
-array-backed one. Every stage draws from seeded generators and computes in
+The counts were recorded with the tuple-backed Graph that preceded the
+array-backed one; the totals were re-recorded when `hungarian` began to add
+its row costs with `math.fsum`, whose correctly rounded sum moved them in
+their last bits. Every stage draws from seeded generators and computes in
 exact integers (the costs are square roots of exact integer sums), so any
 change to the sampling draws, the subgraphs or the signature rows moves at
 least one of these numbers.
 """
 
-import riccialign.experiments as experiments
-from riccialign import ExperimentConfig, run_ppi_experiment, write_edge_list
+import pytest
 
-from conftest import preferential_attachment_graph
+import riccialign.experiments as experiments
+from riccialign import (ExperimentConfig, common_max_degree, cost_matrix, ricci_matrix,
+                        run_ppi_experiment, write_edge_list)
+
+from conftest import certified_optimal, preferential_attachment_graph
 
 GOLDEN_CORRECT = [459, 438, 429, 439, 421, 457, 422, 422, 443, 416]
-GOLDEN_TOTAL_COST = [74825.11030427927, 98834.64325660573, 82850.99978086038,
-                     148894.23298361126, 196323.32843020366, 42236.07852089351,
-                     140408.4266681095, 73208.95960799641, 99425.54826550104,
-                     90547.30149555852]
+GOLDEN_TOTAL_COST = [74825.1103042793, 98834.64325660601, 82850.99978086028,
+                     148894.23298361138, 196323.32843020363, 42236.07852089354,
+                     140408.42666810943, 73208.95960799632, 99425.548265501,
+                     90547.3014955587]
 
 
-def test_ppi_seed0_golden(monkeypatch, tmp_path):
-    totals = []
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The golden run's report and, per round, (G1, G2, the alignment)."""
+    rounds = []
     align = experiments.align
 
     def recording_align(g1, g2, mode):
         result = align(g1, g2, mode=mode)
-        totals.append(result.total_cost)
+        rounds.append((g1, g2, result))
         return result
 
-    monkeypatch.setattr(experiments, "align", recording_align)
-    path = tmp_path / "surrogate.edges"
+    path = tmp_path_factory.mktemp("golden") / "surrogate.edges"
     write_edge_list(preferential_attachment_graph(3800, seed=10), path)
     cfg = ExperimentConfig(input_path=str(path), intermediate_sample_size=1000,
                            subgraph_size=500, deletion_probability=0.01,
                            rounds=10, seed=0, mode="rmc")
-    report = run_ppi_experiment(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "align", recording_align)
+        report = run_ppi_experiment(cfg)
+    return report, rounds
+
+
+def test_ppi_seed0_golden(golden_run):
+    report, rounds = golden_run
     assert [r.correct for r in report.per_round] == GOLDEN_CORRECT
-    assert totals == GOLDEN_TOTAL_COST
+    assert [result.total_cost for _, _, result in rounds] == GOLDEN_TOTAL_COST
+
+
+def test_golden_rounds_are_certified_optimal(golden_run):
+    # the certificate runs Bellman-Ford on each round's exchange graph; it
+    # does not call the solver
+    for g1, g2, result in golden_run[1]:
+        m = common_max_degree(g1, g2)
+        cost = cost_matrix(ricci_matrix(g1, m), ricci_matrix(g2, m))
+        cols = [result.mapping[v] for v in range(g1.num_nodes)]
+        assert certified_optimal(cost, cols)
+    # the last round with two targets swapped costs more, and must fail
+    cols[0], cols[1] = cols[1], cols[0]
+    assert not certified_optimal(cost, cols)

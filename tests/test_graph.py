@@ -6,9 +6,7 @@ from riccialign import (
     Graph,
     GraphError,
     GraphMLError,
-    curvature_laplacian_residual,
     from_edge_list,
-    labeled_signature_vector,
     load_graphml,
     read_edge_list,
     write_edge_list,
@@ -118,13 +116,7 @@ def _path3():
 @pytest.mark.parametrize("call", [
     lambda: _path3().induced_subgraph([1.7]),
     lambda: _path3().induced_subgraph([True, 2]),
-    lambda: labeled_signature_vector(_path3(), 1.0),
-    lambda: labeled_signature_vector(_path3(), -1),
-    lambda: curvature_laplacian_residual(_path3(), True),
-    lambda: curvature_laplacian_residual(_path3(), 1.5),
-    lambda: curvature_laplacian_residual(_path3(), 3),
-], ids=["subgraph-float", "subgraph-bool", "signature-float", "signature-negative",
-        "residual-bool", "residual-float", "residual-out-of-range"])
+], ids=["subgraph-float", "subgraph-bool"])
 def test_non_integer_node_id_raises_graph_error(call):
     with pytest.raises(GraphError):
         call()

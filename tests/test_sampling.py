@@ -10,6 +10,7 @@ from riccialign import (
     delete_edges_randomly,
     from_edge_list,
     random_walk_sample,
+    sampling,
 )
 
 from conftest import random_connected_graph
@@ -80,23 +81,19 @@ def test_sample_size_validation(lifted_torus):
         random_walk_sample(lifted_torus, 37, RngHandle(0))
 
 
-@pytest.mark.parametrize("max_iter", [2.5, 0, -1, True])
-def test_walk_max_iter_must_be_a_positive_integer(lifted_torus, max_iter):
-    with pytest.raises(GraphError):
-        random_walk_sample(lifted_torus, 10, RngHandle(0), max_iter=max_iter)
-
-
-def test_sample_escapes_components_via_jump():
+def test_sample_escapes_components_via_jump(monkeypatch):
     # two disjoint triangles: only the stagnation jump can cross over
+    monkeypatch.setattr(sampling, "_MAX_STAGNANT", 10)
     g = from_edge_list([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-    sample = random_walk_sample(g, 5, RngHandle(3), max_iter=10)
+    sample = random_walk_sample(g, 5, RngHandle(3))
     assert sample.num_nodes == 5
 
 
-def test_sample_reaches_isolated_node():
+def test_sample_reaches_isolated_node(monkeypatch):
     # the isolated node is only reachable through the no-neighbor branch
+    monkeypatch.setattr(sampling, "_MAX_STAGNANT", 5)
     g = from_edge_list([(0, 1)], n=3)
-    sample = random_walk_sample(g, 3, RngHandle(0), max_iter=5)
+    sample = random_walk_sample(g, 3, RngHandle(0))
     assert sample.num_nodes == 3
 
 

@@ -1,3 +1,11 @@
+"""The curvature-Laplacian identity and the dense reference that checks it.
+
+`conftest.dense_laplacian` and `conftest.labeled_signature_vector` build
+L = D - A and the per-node signature vectors s_i as the paper defines them.
+The package computes every residual Ric(v_i) - (L s_i^T)_i at once, with
+neither (`curvature_laplacian_residuals`).
+"""
+
 import random
 
 import numpy as np
@@ -5,37 +13,38 @@ import pytest
 
 from riccialign import (
     GraphError,
+    cli,
+    curvature,
     curvature_laplacian_holds,
-    curvature_laplacian_residual,
+    curvature_laplacian_residuals,
     from_edge_list,
-    labeled_signature_vector,
-    laplacian,
     line_graph,
 )
 
-from conftest import random_connected_graph, random_graph
+from conftest import (dense_laplacian, labeled_signature_vector, random_connected_graph,
+                      random_graph)
 
 
 def test_laplacian_k2():
-    assert laplacian(from_edge_list([(0, 1)])).tolist() == [[1, -1], [-1, 1]]
+    assert dense_laplacian(from_edge_list([(0, 1)])).tolist() == [[1, -1], [-1, 1]]
 
 
 def test_laplacian_p3():
     expected = [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
-    assert laplacian(from_edge_list([(0, 1), (1, 2)])).tolist() == expected
+    assert dense_laplacian(from_edge_list([(0, 1), (1, 2)])).tolist() == expected
 
 
 def test_laplacian_rows_sum_to_zero():
     for seed in range(8):
         g = random_graph(20, 0.25, seed)
-        assert (laplacian(g).sum(axis=1) == 0).all()
+        assert (dense_laplacian(g).sum(axis=1) == 0).all()
 
 
 def test_laplacian_is_positive_semidefinite():
     rng = random.Random(11)
     for seed in range(5):
         g = random_graph(15, 0.3, seed)
-        lap = laplacian(g)
+        lap = dense_laplacian(g)
         for _ in range(20):
             x = np.array([rng.randint(-9, 9) for _ in g.nodes], dtype=np.int64)
             assert x @ lap @ x >= 0
@@ -60,22 +69,20 @@ def test_signature_vector_unknown_node():
 
 
 def test_residual_k2():
-    k2 = from_edge_list([(0, 1)])
-    assert curvature_laplacian_residual(k2, 0) == 0
-    assert curvature_laplacian_residual(k2, 1) == 0
+    assert curvature_laplacian_residuals(from_edge_list([(0, 1)])).tolist() == [0, 0]
 
 
 def test_residual_p3_middle_node():
     p3 = from_edge_list([(0, 1), (1, 2)])
-    assert curvature_laplacian_residual(p3, 1) == 2 * 2 * (1 - 2) == -4
+    assert curvature_laplacian_residuals(p3).tolist() == [0, 2 * 2 * (1 - 2), 0] == [0, -4, 0]
 
 
 def test_identity_on_random_connected_graphs():
     for seed in range(100):
         n = random.Random(seed).randint(2, 30)
         g = random_connected_graph(n, seed)
-        for v, d in enumerate(g.degrees.tolist()):
-            assert curvature_laplacian_residual(g, v) == 2 * d * (1 - d)
+        d = g.degrees
+        assert curvature_laplacian_residuals(g).tolist() == (2 * d * (1 - d)).tolist()
 
 
 def test_identity_on_torus_and_line_graphs(lifted_torus):
@@ -85,12 +92,29 @@ def test_identity_on_torus_and_line_graphs(lifted_torus):
 
 
 def test_laplacian_action_matches_neighbor_degree_differences():
-    # (L s^T)_i recomputed as sum over neighbors of (deg_i - deg_l)
+    # (L s_i^T)_i = (L deg)_i = sum over neighbors l of (deg_i - deg_l): the
+    # step that lets the package skip s_i
     for seed in range(10):
         g = random_graph(18, 0.3, seed)
-        lap = laplacian(g)
+        lap = dense_laplacian(g)
+        l_deg = lap @ g.degrees
         for v in g.nodes:
-            s = labeled_signature_vector(g, v)
             nbrs = g.indices[g.indptr[v]:g.indptr[v + 1]]
             direct = int((g.degrees[v] - g.degrees[nbrs]).sum())
-            assert int(lap[v] @ s) == direct
+            assert int(lap[v] @ labeled_signature_vector(g, v)) == l_deg[v] == direct
+
+
+def test_identity_check_fails_on_a_wrong_curvature(monkeypatch, capsys, lifted_torus):
+    node_curvatures = curvature.node_curvatures
+
+    def off_by_one_at_node_0(g):
+        ric = node_curvatures(g)
+        ric[0] += 1
+        return ric
+
+    monkeypatch.setattr(curvature, "node_curvatures", off_by_one_at_node_0)
+    assert not curvature_laplacian_holds(lifted_torus)
+    assert cli.main(["verify-cle", "--random-graphs", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL  lifted triangular torus"
+    assert lines[-1] == "0/5 graphs satisfy the identity"
