@@ -255,10 +255,15 @@ def _local_name(tag) -> str:
 def load_graphml(path) -> Graph:
     """Read an undirected GraphML file.
 
-    Nodes are relabeled to 0..N-1 in document order. Only node ids and edge
-    endpoints are read; other attributes are ignored. Self-loops and duplicate edges in the
-    file are dropped. A directed edge declaration (``edgedefault="directed"``
-    or a per-edge ``directed="true"``) raises DirectedGraphError.
+    One ``ElementTree`` parse, then one pass over the first ``<graph>``
+    element, matching tags by local name (any namespace, or none). Nodes,
+    nested graphs' included, are numbered 0..N-1 in document order; only node
+    ids and edge endpoints are read. A node without an id fails in that pass.
+    The edges are checked after it, so they may name later nodes, and in
+    document order, each for a directed flag, then a missing endpoint, then
+    an unknown id: the first fault raises. Self-loops and duplicate edges are
+    dropped. A directed declaration (``edgedefault="directed"`` or a per-edge
+    ``directed="true"``) raises DirectedGraphError.
     """
     path = Path(path)
     if not path.exists():
@@ -278,30 +283,35 @@ def load_graphml(path) -> Graph:
     if graph_el.get("edgedefault", "undirected").lower() == "directed":
         raise DirectedGraphError(f"{path} declares edgedefault=\"directed\"")
 
+    names: dict = {}  # tag -> local name, filled on first sight
     ids: dict[str, int] = {}
+    edge_els = []
     for el in graph_el.iter():
-        if _local_name(el.tag) == "node":
+        tag = el.tag
+        name = names.get(tag)
+        if name is None:
+            name = names[tag] = _local_name(tag)
+        if name == "node":
             raw = el.get("id")
             if raw is None:
                 raise GraphMLError("node element without id attribute")
-            if raw not in ids:
-                ids[raw] = len(ids)
+            ids.setdefault(raw, len(ids))
+        elif name == "edge":
+            edge_els.append(el)
 
-    edges: list[tuple[int, int]] = []
-    for el in graph_el.iter():
-        if _local_name(el.tag) != "edge":
-            continue
+    ends: list[int] = []  # endpoints, two per edge
+    for el in edge_els:
         if el.get("directed", "false").lower() == "true":
             raise DirectedGraphError(f"{path} contains a directed edge")
         src, dst = el.get("source"), el.get("target")
         if src is None or dst is None:
             raise GraphMLError("edge element without source/target")
-        if src not in ids or dst not in ids:
+        u, v = ids.get(src), ids.get(dst)
+        if u is None or v is None:
             raise GraphMLError(f"edge references unknown node id {src!r} or {dst!r}")
-        if src == dst:
-            continue
-        edges.append((ids[src], ids[dst]))
-    return Graph(len(ids), edges)
+        if u != v:  # distinct ids number distinct nodes: a self-loop is skipped
+            ends += (u, v)
+    return Graph(len(ids), np.array(ends, dtype=np.int64).reshape(-1, 2))
 
 
 # -- plain edge-list text format --------------------------------------------

@@ -2,8 +2,11 @@
 
 All randomness flows through an explicit RngHandle; nothing touches global
 RNG state, so a seed fully determines every sample and each experiment round
-can own an independent handle. The edge deletion draws all its uniforms in
-one numpy call from the handle's own Mersenne Twister state.
+can own an independent handle. The walk replays ``random.Random.choice``
+inline, one bounded ``getrandbits`` draw at a time, and the edge deletion
+draws all its uniforms in one numpy call from the handle's own Mersenne
+Twister state; both give the draws, and leave the handle's state, of the
+per-call ``random.Random`` methods they replace.
 """
 
 from __future__ import annotations
@@ -47,6 +50,22 @@ class RngHandle:
         return f"RngHandle(seed={self.seed})"
 
 
+def _below(getrandbits, n: int) -> int:
+    """The index ``random.Random.choice`` draws from n > 0 items, from the same bits.
+
+    On CPython 3.10-3.13 ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, and
+    ``_randbelow(n)`` draws ``getrandbits(n.bit_length())`` until the result
+    is below n. This is that loop, without the method calls around it; the
+    tests compare walks with ``choice`` itself, so a CPython that draws
+    otherwise fails them.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     """Induced subgraph on `size` nodes collected by a random walk.
 
@@ -57,24 +76,28 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     the walk jumps to a uniform random not-yet-collected node (the jump target
     itself is only collected once the walk steps onto it through the usual
     rule). The counter resets on progress and on jumps.
+
+    Each pick is ``_below``, the draw ``rng.choice`` makes, so the walk and the
+    handle's end state are those of one ``random.Random.choice`` per step.
+    The CSR rows are read through memoryviews, which give plain ints.
     """
     if _integers(size, ()) <= 0:
         raise GraphError(f"sample size must be positive, got {size}")
     if size > g.num_nodes:
         raise GraphError(f"sample size {size} exceeds graph size {g.num_nodes}")
 
-    all_nodes = g.nodes
-    indptr, indices = g.indptr, g.indices
-    current = rng.choice(all_nodes)
+    n = g.num_nodes
+    indptr, indices = memoryview(g.indptr), memoryview(g.indices)  # plain-int reads
+    getrandbits = rng.generator.getrandbits
+    current = _below(getrandbits, n)
     visited = [current]
     visited_set = {current}
     stagnant, max_stagnant = 0, _MAX_STAGNANT
 
     while len(visited) < size:
-        lo, hi = indptr[current], indptr[current + 1]
-        # choosing a slot of the CSR row draws exactly as choosing from the
-        # ascending neighbor tuple would
-        nxt = int(indices[rng.choice(range(lo, hi))]) if hi > lo else rng.choice(all_nodes)
+        lo = indptr[current]
+        degree = indptr[current + 1] - lo
+        nxt = indices[lo + _below(getrandbits, degree)] if degree else _below(getrandbits, n)
         if nxt not in visited_set:
             visited.append(nxt)
             visited_set.add(nxt)
@@ -82,8 +105,8 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
         else:
             stagnant += 1
         if stagnant >= max_stagnant:
-            potential = sorted(set(all_nodes) - visited_set)
-            nxt = rng.choice(potential)
+            potential = sorted(set(range(n)) - visited_set)
+            nxt = potential[_below(getrandbits, len(potential))]
             stagnant = 0
         current = nxt
 

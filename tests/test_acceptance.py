@@ -36,7 +36,7 @@ from riccialign import (
     triangular_ring_2d,
 )
 
-from conftest import EXAMPLE_EDGES, random_connected_graph, random_graph
+from conftest import EXAMPLE_EDGES, assignment_minimum, random_connected_graph, random_graph
 
 
 @contextmanager
@@ -93,13 +93,16 @@ def _permutation_minimum(cost: np.ndarray) -> float:
 
 
 def test_hungarian_optimality():
-    with criterion("assignment solver optimality (200 matrices vs n! oracle)"):
+    with criterion("assignment solver optimality (200 matrices vs an exact subset oracle)"):
         rng = random.Random(7)
         for trial in range(200):
             n = 2 + trial % 7
             cost = np.array([[rng.randint(0, 50) for _ in range(n)] for _ in range(n)],
                             dtype=np.float64)
-            assert hungarian(cost).total_cost == _permutation_minimum(cost)
+            best = assignment_minimum(cost)
+            if n <= 5:  # the oracle itself, against all n! assignments
+                assert best == _permutation_minimum(cost)
+            assert hungarian(cost).total_cost == best
 
 
 def test_line_graph_identities():

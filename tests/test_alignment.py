@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from riccialign import (
     write_assignment_csv,
 )
 
-from conftest import random_connected_graph, traced_peak
+from conftest import assignment_minimum, random_connected_graph, traced_peak
 
 CLAW = [(0, 1), (0, 2), (0, 3)]
 K3 = [(0, 1), (0, 2), (1, 2)]
@@ -232,11 +231,6 @@ def test_cost_matrix_validates_width_and_mode(example_graph):
         cost_matrix(degree_matrix(example_graph, 5), ricci_matrix(example_graph, 5))
 
 
-def _brute_force_min(cost: np.ndarray) -> float:
-    n = cost.shape[0]
-    return min(sum(cost[i, p[i]] for i in range(n)) for p in permutations(range(n)))
-
-
 def test_hungarian_small_cases():
     ident = hungarian([[0, 1], [1, 0]])
     assert ident.mapping == {0: 0, 1: 1}
@@ -279,7 +273,7 @@ def test_hungarian_matches_permutation_oracle():
         n = rng.randint(2, 8)
         c = np.array([[rng.randint(0, 30) for _ in range(n)] for _ in range(n)],
                      dtype=np.float64)
-        assert hungarian(c).total_cost == _brute_force_min(c)
+        assert hungarian(c).total_cost == assignment_minimum(c)
 
 
 def test_hungarian_is_deterministic():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from riccialign import (
 )
 from riccialign.tessellation import TRIANGULAR_RING_EDGES
 
-from conftest import is_connected, random_graph, write_graphml
+from conftest import is_connected, preferential_attachment_graph, random_graph, write_graphml
 
 
 def test_from_edge_list_path_graph():
@@ -313,6 +315,87 @@ def test_graphml_roundtrip_preserves_counts(tmp_path):
     assert loaded.num_edges == g.num_edges
     # the writer lists nodes in id order, so document order gives back the ids
     assert loaded == g
+
+
+def test_load_graphml_numbers_nested_graph_nodes_in_document_order(tmp_path):
+    path = tmp_path / "nested.graphml"
+    path.write_text("""<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+      <graph edgedefault="undirected">
+        <node id="a">
+          <graph id="inner"><node id="x"/><node id="y"/><edge source="x" target="y"/></graph>
+        </node>
+        <node id="b"/>
+        <edge source="a" target="b"/>
+      </graph>
+    </graphml>""")
+    g = load_graphml(path)
+    assert g.num_nodes == 4  # a, x, y, b
+    assert g.edges == ((0, 3), (1, 2))
+
+
+def test_load_graphml_ignores_a_second_top_level_graph(tmp_path):
+    path = tmp_path / "two-graphs.graphml"
+    path.write_text(MINIMAL_GRAPHML.replace("</graphml>", """<graph edgedefault="directed">
+        <node id="gamma"/><edge source="gamma" target="alpha" directed="true"/>
+      </graph>
+    </graphml>"""))
+    g = load_graphml(path)
+    assert g.num_nodes == 2
+    assert g.edges == ((0, 1),)
+
+
+@pytest.mark.parametrize("open_tag, prefix", [
+    ("<graphml>", ""),
+    ('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">', ""),
+    ('<g:graphml xmlns:g="http://graphml.graphdrawing.org/xmlns">', "g:"),
+], ids=["no-namespace", "default-namespace", "prefixed-namespace"])
+def test_load_graphml_matches_tags_by_local_name(tmp_path, open_tag, prefix):
+    path = tmp_path / "ns.graphml"
+    path.write_text(f"""{open_tag}
+      <{prefix}graph edgedefault="undirected">
+        <{prefix}node id="a"/><{prefix}node id="b"/><{prefix}node id="c"/>
+        <{prefix}edge source="c" target="a"/>
+      </{prefix}graph>
+    </{prefix}graphml>""")
+    g = load_graphml(path)
+    assert g.num_nodes == 3
+    assert g.edges == ((0, 2),)
+
+
+def test_load_graphml_reports_a_node_without_id_before_any_edge(tmp_path):
+    path = tmp_path / "late-anonymous.graphml"
+    path.write_text(MINIMAL_GRAPHML.replace(
+        '<edge source="alpha" target="beta"/>',
+        '<edge source="alpha" target="beta" directed="true"/><node/>'))
+    with pytest.raises(GraphMLError, match="without id"):
+        load_graphml(path)
+
+
+@pytest.mark.parametrize("edges, error", [
+    ('<edge source="alpha" target="gamma"/><edge source="alpha" target="beta" directed="true"/>',
+     GraphMLError),
+    ('<edge source="alpha" target="beta" directed="true"/><edge source="alpha" target="gamma"/>',
+     DirectedGraphError),
+    ('<edge source="alpha" target="gamma" directed="true"/>', DirectedGraphError),
+], ids=["unknown-id-first", "directed-first", "directed-and-unknown-id"])
+def test_load_graphml_reports_the_first_bad_edge(tmp_path, edges, error):
+    path = tmp_path / "bad-edges.graphml"
+    path.write_text(MINIMAL_GRAPHML.replace('<edge source="alpha" target="beta"/>', edges))
+    with pytest.raises(GraphMLError) as caught:
+        load_graphml(path)
+    assert caught.type is error
+
+
+def test_load_graphml_reads_the_surrogate_like_its_generator(ppi_graphml):
+    if os.environ.get("RICCIALIGN_PPI_GRAPHML"):
+        pytest.skip("the PPI input is a given file, not the seeded surrogate")
+    loaded = load_graphml(ppi_graphml)
+    expected = preferential_attachment_graph(3800, seed=10)
+    assert loaded.num_nodes == expected.num_nodes == 3800
+    for name in ("indptr", "indices", "edge_array"):
+        got, want = getattr(loaded, name), getattr(expected, name)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), name
 
 
 # -- edge-list text format ----------------------------------------------------

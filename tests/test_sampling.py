@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from riccialign import (
+    Graph,
     GraphError,
     RngHandle,
     delete_edges_randomly,
@@ -95,6 +96,66 @@ def test_sample_reaches_isolated_node(monkeypatch):
     g = from_edge_list([(0, 1)], n=3)
     sample = random_walk_sample(g, 3, RngHandle(0))
     assert sample.num_nodes == 3
+
+
+@pytest.fixture
+def walk_orders(monkeypatch):
+    """The ids each walk collects, in order, as it hands them to induced_subgraph."""
+    orders = []
+    subgraph = Graph.induced_subgraph
+
+    def record(g, keep):
+        orders.append(list(keep))
+        return subgraph(g, keep)
+
+    monkeypatch.setattr(Graph, "induced_subgraph", record)
+    return orders
+
+
+def assert_walks_like_choice(g, size, seed, orders):
+    """The walk's order and the handle's end state are those of the reference,
+    which draws every step with random.Random.choice."""
+    rng, ref_rng = RngHandle(seed), RngHandle(seed)
+    random_walk_sample(g, size, rng)
+    ref = reference_walk(Reference(g.num_nodes, g.edges), size, ref_rng, sampling._MAX_STAGNANT)
+    assert orders[-1] == ref
+    assert rng.generator.getstate() == ref_rng.generator.getstate()
+
+
+# choice(seq) draws getrandbits(len(seq).bit_length()) until the result is
+# below len(seq): these lengths sit on and next to the powers of two
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 8, 9])
+def test_walk_draws_rows_like_choice(walk_orders, degree):
+    # a complete graph (every row has `degree` entries) beside a star (rows
+    # of `degree` and of 1), joined by one edge
+    k = degree + 1
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    pairs += [(k, k + 1 + i) for i in range(degree)] + [(0, k)]
+    g = from_edge_list(pairs)
+    for seed in range(8):
+        assert_walks_like_choice(g, g.num_nodes, seed, walk_orders)
+
+
+@pytest.mark.parametrize("max_stagnant", [3, 100])
+def test_walk_through_isolated_nodes_draws_like_choice(monkeypatch, walk_orders, max_stagnant):
+    # from an isolated node the step is a draw over all nodes
+    monkeypatch.setattr(sampling, "_MAX_STAGNANT", max_stagnant)
+    g = from_edge_list([(0, 1), (1, 2), (2, 3)], n=7)
+    for seed in range(12):
+        assert_walks_like_choice(g, 7, seed, walk_orders)
+
+
+@pytest.mark.parametrize("max_stagnant", [1, 2])
+def test_walk_jumps_draw_like_choice(monkeypatch, walk_orders, max_stagnant):
+    # the jump draws from the sorted not-yet-collected nodes. A jump target is
+    # only collected when a later step lands on it, so at _MAX_STAGNANT = 1 a
+    # target whose neighbors are all collected is never reached; on disjoint
+    # edges and isolated nodes that cannot happen
+    monkeypatch.setattr(sampling, "_MAX_STAGNANT", max_stagnant)
+    g = from_edge_list([(2 * i, 2 * i + 1) for i in range(6)], n=16)
+    for seed in range(12):
+        for size in (5, 16):
+            assert_walks_like_choice(g, size, seed, walk_orders)
 
 
 def test_delete_edges_p_zero_keeps_everything(lifted_torus):
