@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph, GraphError
-from .curvature import node_curvatures
+from .curvature import node_curvature_array
 
 
 # The paper's method names (the `rmc` flags and the PPI config's `mode`) and
@@ -98,7 +98,7 @@ def ricci_matrix(g: Graph, m: int) -> SignatureMatrix:
     Same dimensions as the degree matrix: a row still has deg(v) feature
     slots, they just hold curvatures.
     """
-    return SignatureMatrix(rows=_signature_rows(g, m, node_curvatures(g)), mode="ricci")
+    return SignatureMatrix(rows=_signature_rows(g, m, node_curvature_array(g)), mode="ricci")
 
 
 def cost_matrix(m1: SignatureMatrix, m2: SignatureMatrix) -> np.ndarray:

@@ -27,24 +27,41 @@ def edge_curvatures(g: Graph) -> np.ndarray:
     return 2 - g.degrees[u] - g.degrees[v]
 
 
+def _neighbour_degree_sums(g: Graph) -> np.ndarray:
+    """int64 sum of every node's neighbours' degrees: one prefix sum over the CSR rows."""
+    prefix = np.concatenate(([0], np.cumsum(g.degrees[g.indices])))
+    return prefix[g.indptr[1:]] - prefix[g.indptr[:-1]]
+
+
+def node_curvature_array(g: Graph) -> np.ndarray:
+    """int64 curvature of every node, indexed by node id.
+
+    Summing 2 - d - d_u over the d neighbours u of a node gives
+    Ric(v) = 2d - d^2 - (sum of the neighbours' degrees), read from the CSR
+    arrays alone.
+    """
+    deg = g.degrees
+    return deg * (2 - deg) - _neighbour_degree_sums(g)
+
+
 def node_curvatures(g: Graph) -> list:
-    """Curvatures of all nodes, indexed by node id (one O(E) pass)."""
-    out = np.zeros(g.num_nodes, dtype=np.int64)
-    np.add.at(out, g.edge_array.ravel(), np.repeat(edge_curvatures(g), 2))
-    return out.tolist()
+    """Curvatures of all nodes as Python ints, indexed by node id."""
+    return node_curvature_array(g).tolist()
 
 
 def curvature_laplacian_residuals(g: Graph) -> np.ndarray:
     """int64 Ric(v_i) - (L s_i^T)_i of every node i; each equals 2 deg_i (1 - deg_i).
 
+    Ric is summed from ``edge_curvatures`` over the edge list, apart from the
+    CSR form `node_curvature_array` uses, so the check tests the curvatures.
     Row i of L = D - A is zero outside i's closed neighbourhood, where s_i
     equals the degree vector, so (L s_i^T)_i = (L deg)_i = deg_i^2 minus the
     sum of i's neighbours' degrees: one prefix sum over the CSR rows.
     """
+    ric = np.zeros(g.num_nodes, dtype=np.int64)
+    np.add.at(ric, g.edge_array.ravel(), np.repeat(edge_curvatures(g), 2))
     deg = g.degrees
-    prefix = np.concatenate(([0], np.cumsum(deg[g.indices])))
-    l_deg = deg * deg - (prefix[g.indptr[1:]] - prefix[g.indptr[:-1]])
-    return np.asarray(node_curvatures(g), dtype=np.int64) - l_deg
+    return ric - (deg * deg - _neighbour_degree_sums(g))
 
 
 def curvature_laplacian_holds(g: Graph) -> bool:

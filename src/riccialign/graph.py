@@ -3,23 +3,28 @@
 Graphs are immutable after construction: node ids are always the dense range
 0..N-1, and a graph holds only its structure, as read-only numpy arrays in
 compressed sparse row (CSR) form: node v's neighbors are
-``indices[indptr[v]:indptr[v + 1]]`` in ascending order, and ``edge_array``
-holds every edge once as a canonical (min, max) row, sorted lexicographically. The arrays are built with numpy
-sorts rather than per-edge Python objects, so every layer can work on them
-vectorised, and a fixed edge order keeps every downstream matrix row order
-reproducible.
+``indices[indptr[v]:indptr[v + 1]]`` in ascending order. ``edge_array``,
+every edge once as a canonical (min, max) row, sorted lexicographically, is
+the CSR entries with row < col, built on first read: the pipeline's walks,
+subgraphs and curvatures read only the CSR arrays. The arrays are built with
+numpy sorts rather than per-edge Python objects, so every layer can work on
+them vectorised, and a fixed edge order keeps every downstream matrix row
+order reproducible.
 
 Graphs derived from a valid Graph (``induced_subgraph``, the edges kept by
 ``delete_edges_randomly``, ``line_graph``) skip the constructor's checks and
 full sort: their entries come from the parent's arrays in CSR order, as two
 sorted runs one stable sort merges, or as the line graph's finished CSR rows.
+
+``load_graphml`` reads GraphML in one ``xml.parsers.expat`` pass that builds
+no element tree.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from itertools import chain
 from pathlib import Path
+from xml.parsers import expat
 
 import numpy as np
 
@@ -85,10 +90,11 @@ class Graph:
         ``indices[indptr[v]:indptr[v + 1]]``.
     edge_array:
         int64 (E, 2) array of canonical (min, max) edges in lexicographic
-        order; ``edges`` is the same as a tuple of pairs.
+        order, built from the CSR arrays on first read; ``edges`` is the same
+        as a tuple of pairs.
     """
 
-    __slots__ = ("num_nodes", "indptr", "indices", "edge_array", "_edges")
+    __slots__ = ("num_nodes", "indptr", "indices", "_edge_array", "_edges")
 
     def __init__(self, num_nodes, edges):
         n = self.num_nodes = int(_integers(num_nodes, ()))
@@ -114,16 +120,14 @@ class Graph:
         given in CSR order (row-major, no repeats): nothing here checks them."""
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        forward = rows < cols
-        return self._set_csr(n, indptr, cols, np.column_stack((rows[forward], cols[forward])))
+        return self._set_csr(n, indptr, cols)
 
-    def _set_csr(self, n: int, indptr, indices, edge_array) -> "Graph":
+    def _set_csr(self, n: int, indptr, indices) -> "Graph":
         """Set and freeze every field from finished int64 CSR arrays, unchecked."""
         self.num_nodes = n
-        self.indptr, self.indices, self.edge_array = indptr, indices, edge_array
-        for a in (indptr, indices, edge_array):
-            a.flags.writeable = False
-        self._edges = None
+        self.indptr, self.indices = indptr, indices
+        indptr.flags.writeable = indices.flags.writeable = False
+        self._edge_array = self._edges = None
         return self
 
     # -- basic accessors ---------------------------------------------------
@@ -134,7 +138,19 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_array)
+        return len(self.indices) // 2
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The CSR entries with row < col, as (row, col) rows: CSR order is
+        lexicographic. Two threads that read it first both build the same array."""
+        if self._edge_array is None:
+            rows = np.repeat(np.arange(self.num_nodes), self.degrees)
+            forward = rows < self.indices
+            edge_array = np.column_stack((rows[forward], self.indices[forward]))
+            edge_array.flags.writeable = False
+            self._edge_array = edge_array
+        return self._edge_array
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -223,11 +239,13 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
+        # equal CSR arrays are equal edge lists, and build no edge list
         return (self.num_nodes == other.num_nodes
-                and np.array_equal(self.edge_array, other.edge_array))
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __hash__(self):
-        return hash((self.num_nodes, self.edge_array.tobytes()))
+        return hash((self.num_nodes, self.indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
@@ -248,62 +266,88 @@ def from_edge_list(pairs, n: int | None = None) -> Graph:
 
 # -- GraphML ingestion (read-only, undirected subset) -----------------------
 
-def _local_name(tag) -> str:
-    return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
-
-
 def load_graphml(path) -> Graph:
     """Read an undirected GraphML file.
 
-    One ``ElementTree`` parse, then one pass over the first ``<graph>``
-    element, matching tags by local name (any namespace, or none). Nodes,
-    nested graphs' included, are numbered 0..N-1 in document order; only node
-    ids and edge endpoints are read. A node without an id fails in that pass.
-    The edges are checked after it, so they may name later nodes, and in
-    document order, each for a directed flag, then a missing endpoint, then
-    an unknown id: the first fault raises. Self-loops and duplicate edges are
-    dropped. A directed declaration (``edgedefault="directed"`` or a per-edge
+    One ``xml.parsers.expat`` pass over the file's bytes, with no element
+    tree, matching names by local name (any namespace, or none). Only the
+    first ``<graph>`` element is read: its ``edgedefault``, and inside it node
+    ids and edge endpoints; nodes, nested graphs' included, are numbered
+    0..N-1 in document order. After the graph closes, the rest of the
+    document is only checked for well-formedness. Nothing is raised before
+    the whole document has parsed; then the faults are reported in this
+    order: malformed XML (an undefined entity included), no graph, a directed
+    ``edgedefault``, a node without an id, and then each edge in document
+    order, for a directed flag, then a missing endpoint, then an unknown id.
+    Edges may name later nodes. Self-loops and duplicate edges are dropped.
+    A directed declaration (``edgedefault="directed"`` or a per-edge
     ``directed="true"``) raises DirectedGraphError.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such GraphML file: {path}")
-    try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as exc:
-        raise GraphMLError(f"malformed XML in {path}: {exc}") from exc
-
-    graph_el = None
-    for el in root.iter():
-        if _local_name(el.tag) == "graph":
-            graph_el = el
-            break
-    if graph_el is None:
-        raise GraphMLError(f"no <graph> element in {path}")
-    if graph_el.get("edgedefault", "undirected").lower() == "directed":
-        raise DirectedGraphError(f"{path} declares edgedefault=\"directed\"")
-
-    names: dict = {}  # tag -> local name, filled on first sight
+    parser = expat.ParserCreate(namespace_separator="}")  # names read "uri}local"
+    names: dict = {}  # expat name -> local name, filled on first sight
     ids: dict[str, int] = {}
-    edge_els = []
-    for el in graph_el.iter():
-        tag = el.tag
-        name = names.get(tag)
-        if name is None:
-            name = names[tag] = _local_name(tag)
-        if name == "node":
-            raw = el.get("id")
+    edges: list[dict] = []  # each edge's attributes, in document order
+    graph_attrs = undefined = None  # the first graph's attributes; a skipped entity
+    anonymous = False  # a node without an id was met
+    depth = 0  # elements open inside the graph, itself included
+
+    def before_graph(name, attrs):
+        nonlocal graph_attrs, depth
+        if name.rsplit("}", 1)[-1] == "graph":
+            graph_attrs, depth = attrs, 1
+            parser.StartElementHandler, parser.EndElementHandler = inside_graph, close
+
+    def inside_graph(name, attrs):
+        nonlocal depth, anonymous
+        depth += 1
+        local = names.get(name)
+        if local is None:
+            local = names[name] = name.rsplit("}", 1)[-1]
+        if local == "node":
+            raw = attrs.get("id")
             if raw is None:
-                raise GraphMLError("node element without id attribute")
-            ids.setdefault(raw, len(ids))
-        elif name == "edge":
-            edge_els.append(el)
+                anonymous = True
+            else:
+                ids.setdefault(raw, len(ids))
+        elif local == "edge":
+            edges.append(attrs)
+
+    def close(name):
+        nonlocal depth
+        depth -= 1
+        if not depth:  # the graph closed: the rest needs no Python callbacks
+            parser.StartElementHandler = parser.EndElementHandler = None
+
+    def skipped(name, is_parameter_entity):
+        # expat skips an undeclared entity in content when a DTD it has not
+        # read could declare it; the content cannot be read without it
+        nonlocal undefined
+        if undefined is None and not is_parameter_entity:
+            undefined = name
+
+    parser.StartElementHandler = before_graph
+    parser.SkippedEntityHandler = skipped
+    try:
+        parser.Parse(path.read_bytes(), True)
+    except expat.ExpatError as exc:
+        raise GraphMLError(f"malformed XML in {path}: {exc}") from exc
+    if undefined is not None:
+        raise GraphMLError(f"malformed XML in {path}: undefined entity &{undefined};")
+    if graph_attrs is None:
+        raise GraphMLError(f"no <graph> element in {path}")
+    if graph_attrs.get("edgedefault", "undirected").lower() == "directed":
+        raise DirectedGraphError(f"{path} declares edgedefault=\"directed\"")
+    if anonymous:
+        raise GraphMLError("node element without id attribute")
 
     ends: list[int] = []  # endpoints, two per edge
-    for el in edge_els:
-        if el.get("directed", "false").lower() == "true":
+    for attrs in edges:
+        if attrs.get("directed", "false").lower() == "true":
             raise DirectedGraphError(f"{path} contains a directed edge")
-        src, dst = el.get("source"), el.get("target")
+        src, dst = attrs.get("source"), attrs.get("target")
         if src is None or dst is None:
             raise GraphMLError("edge element without source/target")
         u, v = ids.get(src), ids.get(dst)

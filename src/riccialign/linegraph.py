@@ -32,7 +32,8 @@ def line_graph(g: Graph) -> LineGraphResult:
     in chunks of whole rows that gather at most ``_CHUNK_ENTRIES`` ids (or one
     longer row) and order them by one sort. Time is quadratic in the largest
     degree, which is accepted: a degree-d node emits d-choose-2 clique edges.
-    Memory is the result plus one chunk, with no constructor sort.
+    Memory is the result's ``indptr`` and ``indices`` plus one chunk, with no
+    constructor sort; its ``edge_array`` is only built if it is read.
     """
     if g.num_edges == 0:
         raise GraphError("line graph of an edgeless graph is undefined here")
@@ -45,8 +46,7 @@ def line_graph(g: Graph) -> LineGraphResult:
     np.cumsum(gathered - 2, out=indptr[1:])
     reach = indptr + 2 * np.arange(n + 1)  # ids gathered before each row
     indices = np.empty(indptr[-1], dtype=np.int64)
-    edge_array = np.empty((indptr[-1] // 2, 2), dtype=np.int64)
-    lo = done = 0
+    lo = 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] + _CHUNK_ENTRIES, "right")) - 1)
         row = np.repeat(np.arange(lo, hi), gathered[lo:hi])
@@ -56,10 +56,8 @@ def line_graph(g: Graph) -> LineGraphResult:
         # one stable sort of row-major keys merges each row's two ascending runs
         ids = np.sort(row * n + ids, kind="stable") - row * n
         indices[indptr[lo]:indptr[hi]] = ids
-        forward = np.flatnonzero(ids > row)
-        edge_array[done:done + len(forward)] = np.column_stack((row[forward], ids[forward]))
-        lo, done = hi, done + len(forward)
-    return LineGraphResult(graph=Graph.__new__(Graph)._set_csr(n, indptr, indices, edge_array))
+        lo = hi
+    return LineGraphResult(graph=Graph.__new__(Graph)._set_csr(n, indptr, indices))
 
 
 def edge_pair_count(g: Graph) -> int:

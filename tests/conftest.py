@@ -3,6 +3,7 @@
 import os
 import random
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,15 @@ import pytest
 from scipy.sparse import coo_array, csr_array
 from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, connected_components
 
-from riccialign import Graph, RngHandle, experiments, lift_to_3d, triangular_ring_2d
+from riccialign import (
+    DirectedGraphError,
+    Graph,
+    GraphMLError,
+    RngHandle,
+    experiments,
+    lift_to_3d,
+    triangular_ring_2d,
+)
 
 # Worked example used across the suite: hub node 0 has neighbors of degree
 # 1, 4, and 5 whose node curvatures come out to -2, -20, and -27.
@@ -147,6 +156,55 @@ def write_graphml(g: Graph, path, edgedefault: str = "undirected") -> None:
     lines += [f'    <edge source="n{u}" target="n{v}"/>' for u, v in g.edges]
     lines += ["  </graph>", "</graphml>"]
     Path(path).write_text("\n".join(lines))
+
+
+def load_graphml_reference(path) -> Graph:
+    """The GraphML loader as one ElementTree parse and a pass over the tree.
+
+    The reference for ``load_graphml``'s tree-free expat pass: the first
+    ``<graph>`` of ``root.iter()``, names matched by local name, nodes
+    numbered in document order, and the same faults in the same order.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such GraphML file: {path}")
+    try:
+        root = ET.parse(path).getroot()
+    except ET.ParseError as exc:
+        raise GraphMLError(f"malformed XML in {path}: {exc}") from exc
+
+    def local_name(tag) -> str:
+        return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
+
+    graph_el = next((el for el in root.iter() if local_name(el.tag) == "graph"), None)
+    if graph_el is None:
+        raise GraphMLError(f"no <graph> element in {path}")
+    if graph_el.get("edgedefault", "undirected").lower() == "directed":
+        raise DirectedGraphError(f"{path} declares edgedefault=\"directed\"")
+    ids: dict[str, int] = {}
+    edge_els = []
+    for el in graph_el.iter():
+        name = local_name(el.tag)
+        if name == "node":
+            raw = el.get("id")
+            if raw is None:
+                raise GraphMLError("node element without id attribute")
+            ids.setdefault(raw, len(ids))
+        elif name == "edge":
+            edge_els.append(el)
+    ends = []
+    for el in edge_els:
+        if el.get("directed", "false").lower() == "true":
+            raise DirectedGraphError(f"{path} contains a directed edge")
+        src, dst = el.get("source"), el.get("target")
+        if src is None or dst is None:
+            raise GraphMLError("edge element without source/target")
+        u, v = ids.get(src), ids.get(dst)
+        if u is None or v is None:
+            raise GraphMLError(f"edge references unknown node id {src!r} or {dst!r}")
+        if u != v:
+            ends.append((u, v))
+    return Graph(len(ids), np.array(ends, dtype=np.int64).reshape(-1, 2))
 
 
 def preferential_attachment_graph(n: int, seed: int, m_max: int = 60,

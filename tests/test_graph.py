@@ -15,7 +15,13 @@ from riccialign import (
 )
 from riccialign.tessellation import TRIANGULAR_RING_EDGES
 
-from conftest import is_connected, preferential_attachment_graph, random_graph, write_graphml
+from conftest import (
+    is_connected,
+    load_graphml_reference,
+    preferential_attachment_graph,
+    random_graph,
+    write_graphml,
+)
 
 
 def test_from_edge_list_path_graph():
@@ -396,6 +402,58 @@ def test_load_graphml_reads_the_surrogate_like_its_generator(ppi_graphml):
         got, want = getattr(loaded, name), getattr(expected, name)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want), name
+
+
+GRAPH_BODY = '<node id="alpha"/><node id="beta"/><edge source="alpha" target="beta"/>'
+EXTERNAL_DTD = '<!DOCTYPE graphml SYSTEM "graphml.dtd">'
+
+
+def load_outcome(load, path):
+    """The nodes and edges `load` reads, or its error's class and message head."""
+    try:
+        g = load(path)
+    except GraphError as exc:
+        return type(exc), str(exc).split(":")[0]
+    return g.num_nodes, g.edges
+
+
+@pytest.mark.parametrize("document", [
+    '<!DOCTYPE graphml [<!ENTITY a "alpha">]><graphml><graph>'
+    '<node id="&a;"/><node id="beta"/><edge source="alpha" target="beta"/></graph></graphml>',
+    '<graphml><graph><node id="&nope;"/></graph></graphml>',
+    f'{EXTERNAL_DTD}<graphml><graph>{GRAPH_BODY}&nope;</graph></graphml>',
+    f'{EXTERNAL_DTD}<graphml><graph>{GRAPH_BODY}</graph>&nope;</graphml>',
+    f'{EXTERNAL_DTD}<graphml><graph><node id="&nope;"/><node id="b"/>'
+    '<edge source="" target="b"/></graph></graphml>',
+    '<!DOCTYPE graphml [<!ENTITY % pe SYSTEM "x.ent"> %pe;]>'
+    f'<graphml><graph>{GRAPH_BODY}</graph></graphml>',
+    '<?xml version="1.0"?><!-- c --><?pi x?><graphml><!-- c --><graph>'
+    f'<![CDATA[<node id="ghost"/>]]><?pi y?>{GRAPH_BODY}<!-- <node id="x"/> --></graph></graphml>',
+    f'<root><node id="outside"/><wrap xmlns="urn:other"><graph>{GRAPH_BODY}</graph></wrap>'
+    '<graph edgedefault="directed"/></root>',
+    f'<graph edgedefault="undirected">{GRAPH_BODY}</graph>',
+    '<graphml><graph/></graphml>',
+    f'<graphml><graph>{GRAPH_BODY}</graph><oops></graphml>',
+    f'<graphml><graph><node/>{GRAPH_BODY}</graph><oops></graphml>',
+    f'<g:graphml><graph>{GRAPH_BODY}</graph></g:graphml>',
+    f'<graphml xmlns:y="urn:y"><graph y:edgedefault="directed">{GRAPH_BODY}</graph></graphml>',
+    '<!DOCTYPE graphml [<!ATTLIST graph edgedefault CDATA "directed">]>'
+    f'<graphml><graph>{GRAPH_BODY}</graph></graphml>',
+    "",
+    "hello",
+    ('<?xml version="1.0" encoding="UTF-16"?><graphml><!-- \u00e9 --><graph>'
+     '<node id="\u00fc"/><node id="\u00df"/><edge source="\u00df" target="\u00fc"/>'
+     '</graph></graphml>').encode("utf-16"),
+], ids=["dtd-entity-in-id", "undefined-entity", "skipped-entity-in-graph",
+        "skipped-entity-after-graph", "skipped-entity-in-attribute", "parameter-entity",
+        "comments-pi-cdata", "graph-nested-in-foreign-element", "graph-is-root",
+        "empty-graph", "malformed-after-graph", "anonymous-node-then-malformed",
+        "unbound-prefix", "namespaced-edgedefault", "dtd-default-edgedefault",
+        "empty-file", "text-only", "utf-16"])
+def test_load_graphml_matches_the_element_tree_reference(tmp_path, document):
+    path = tmp_path / "case.graphml"
+    path.write_bytes(document if isinstance(document, bytes) else document.encode())
+    assert load_outcome(load_graphml, path) == load_outcome(load_graphml_reference, path)
 
 
 # -- edge-list text format ----------------------------------------------------

@@ -4,10 +4,14 @@ import pytest
 from riccialign import (
     Graph,
     GraphError,
+    RngHandle,
+    align,
+    delete_edges_randomly,
     edge_pair_count,
     from_edge_list,
     line_graph,
     linegraph,
+    random_walk_sample,
 )
 
 from conftest import is_connected, random_connected_graph, random_graph, traced_peak
@@ -103,4 +107,17 @@ def test_line_graph_peak_memory_is_about_the_output():
     g = Graph(1000, pairs[pairs[:, 0] != pairs[:, 1]])
     lg, peak = traced_peak(lambda: line_graph(g).graph)
     assert lg.indices.size >= 8 * linegraph._CHUNK_ENTRIES
-    assert peak <= 1.5 * (lg.indptr.nbytes + lg.indices.nbytes + lg.edge_array.nbytes)
+    assert lg._edge_array is None  # the bound is on the two arrays line_graph returns
+    assert peak <= 1.5 * (lg.indptr.nbytes + lg.indices.nbytes)
+
+
+def test_a_round_builds_no_edge_list_for_the_universe_or_g2():
+    # the walk, induced_subgraph and the curvature rows read only the CSR arrays
+    universe = line_graph(random_connected_graph(60, seed=4)).graph
+    assert universe._edge_array is None
+    rng = RngHandle(5)
+    g1 = random_walk_sample(universe, 40, rng)
+    g2 = delete_edges_randomly(g1, 0.2, rng)
+    assert g2.num_edges < g1.num_edges
+    align(g1, g2)
+    assert universe._edge_array is None and g2._edge_array is None

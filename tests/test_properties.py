@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riccialign import (
@@ -110,6 +110,23 @@ def test_accessors_match_reference(data):
     for v in range(n):
         assert g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() == ref.adj[v]
     assert g.max_degree() == max(ref.degree(v) for v in range(n))
+
+
+@property_test
+@given(edge_lists(min_nodes=1))
+@example((3, []))
+def test_edge_array_is_built_from_the_csr_arrays_on_first_read(data):
+    n, pairs = data
+    g, ref = Graph(n, pairs), Reference(n, pairs)
+    assert g == Graph(n, pairs) and hash(g) == hash(Graph(n, pairs))
+    if ref.edges:
+        assert g != Graph(n, ref.edges[1:])
+    assert g._edge_array is None  # comparing and hashing read the CSR arrays only
+    edge_array = g.edge_array
+    assert edge_array is g.edge_array
+    assert edge_array.dtype == np.int64 and not edge_array.flags.writeable
+    assert edge_array.shape == (len(ref.edges), 2)
+    assert edge_array.tolist() == [list(e) for e in ref.edges]
 
 
 @property_test

@@ -105,14 +105,14 @@ def test_laplacian_action_matches_neighbor_degree_differences():
 
 
 def test_identity_check_fails_on_a_wrong_curvature(monkeypatch, capsys, lifted_torus):
-    node_curvatures = curvature.node_curvatures
+    edge_curvatures = curvature.edge_curvatures
 
-    def off_by_one_at_node_0(g):
-        ric = node_curvatures(g)
-        ric[0] += 1
-        return ric
+    def off_by_one_at_edge_0(g):
+        curv = edge_curvatures(g)
+        curv[0] += 1
+        return curv
 
-    monkeypatch.setattr(curvature, "node_curvatures", off_by_one_at_node_0)
+    monkeypatch.setattr(curvature, "edge_curvatures", off_by_one_at_edge_0)
     assert not curvature_laplacian_holds(lifted_torus)
     assert cli.main(["verify-cle", "--random-graphs", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
