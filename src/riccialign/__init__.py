@@ -15,7 +15,6 @@ from .graph import (
     from_edge_list,
     load_graphml,
     read_edge_list,
-    write_edge_list,
 )
 from .curvature import (
     curvature_distribution,
@@ -26,7 +25,7 @@ from .curvature import (
     write_distribution_csv,
 )
 from .tessellation import lift_to_3d, triangular_ring_2d
-from .linegraph import LineGraphResult, edge_pair_count, line_graph
+from .linegraph import LineGraphResult, line_graph
 from .sampling import RngHandle, delete_edges_randomly, random_walk_sample
 from .alignment import (
     Assignment,
@@ -54,11 +53,11 @@ from .experiments import (
 __all__ = [
     "__version__",
     "Graph", "GraphError", "GraphMLError", "DirectedGraphError",
-    "from_edge_list", "load_graphml", "read_edge_list", "write_edge_list",
+    "from_edge_list", "load_graphml", "read_edge_list",
     "edge_curvatures", "node_curvatures", "curvature_distribution",
     "write_distribution_csv", "curvature_laplacian_residuals", "curvature_laplacian_holds",
     "triangular_ring_2d", "lift_to_3d",
-    "LineGraphResult", "line_graph", "edge_pair_count",
+    "LineGraphResult", "line_graph",
     "RngHandle", "random_walk_sample", "delete_edges_randomly",
     "SignatureMatrix", "Assignment", "common_max_degree", "degree_matrix",
     "ricci_matrix", "cost_matrix", "hungarian", "align",

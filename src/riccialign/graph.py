@@ -145,8 +145,7 @@ class Graph:
         """The CSR entries with row < col, as (row, col) rows: CSR order is
         lexicographic. Two threads that read it first both build the same array."""
         if self._edge_array is None:
-            rows = np.repeat(np.arange(self.num_nodes), self.degrees)
-            forward = rows < self.indices
+            rows, forward = self._edge_slots()
             edge_array = np.column_stack((rows[forward], self.indices[forward]))
             edge_array.flags.writeable = False
             self._edge_array = edge_array
@@ -176,29 +175,18 @@ class Graph:
             raise GraphError(f"unknown node id {bad} (graph has {self.num_nodes} nodes)")
         return ids
 
-    def edge_rows(self, pairs) -> np.ndarray:
-        """Row in ``edge_array`` of each (u, v) pair, given in either orientation.
-
-        A pair that is not an edge (a self-pair included) or not a pair of
-        node ids raises GraphError.
-        """
-        pairs = _integers(pairs, (-1, 2))
-        self.node_ids(pairs.ravel())  # an out-of-range id could alias another key
-        # edge_array is sorted by the row-major key u * N + v of its rows
-        n = self.num_nodes
-        keys = self.edge_array[:, 0] * n + self.edge_array[:, 1]
-        u, v = pairs.T
-        wanted = np.minimum(u, v) * n + np.maximum(u, v)
-        rows = np.searchsorted(keys, wanted)
-        found = np.append(keys, -1)[rows] == wanted  # rows == E: past the last key
-        if not found.all():
-            raise GraphError(f"no edge {tuple(pairs[found.argmin()].tolist())}")
-        return rows
-
     def max_degree(self) -> int:
         return int(self.degrees.max(initial=0))
 
     # -- structure ---------------------------------------------------------
+
+    def _edge_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row of every CSR slot, and the mask of the slots with row < col.
+
+        CSR order is lexicographic, so edge i is the i-th slot the mask sets.
+        """
+        rows = np.repeat(np.arange(self.num_nodes), self.degrees)
+        return rows, rows < self.indices
 
     def _row_slots(self, rows: np.ndarray) -> np.ndarray:
         """Positions in `indices` of the given rows' entries, row by row."""
@@ -229,7 +217,9 @@ class Graph:
     def _keep_edges(self, keep: np.ndarray) -> "Graph":
         """Same nodes, only the edges where the boolean `keep` is set."""
         n = self.num_nodes
-        u, v = np.compress(keep, self.edge_array, axis=0).T
+        rows, forward = self._edge_slots()
+        slots = np.flatnonzero(forward)[keep]  # the kept edges' forward slots
+        u, v = rows[slots], self.indices[slots]
         # the (u, v) keys are sorted already; the stable sort merges two runs
         keys = np.sort(np.concatenate((u * n + v, np.sort(v * n + u))), kind="stable")
         return Graph.__new__(Graph)._store(n, *np.divmod(keys, n))
@@ -386,11 +376,3 @@ def read_edge_list(path) -> Graph:
             pairs.append(tuple(_edge_list_int(t, path, lineno) for t in parts))
     return from_edge_list(pairs, n=n)
 
-
-def write_edge_list(g: Graph, path) -> None:
-    """Write a graph in the edge-list text format, with an `n=` header."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(f"n={g.num_nodes}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")

@@ -38,9 +38,14 @@ def line_graph(g: Graph) -> LineGraphResult:
     if g.num_edges == 0:
         raise GraphError("line graph of an edgeless graph is undefined here")
     n, ends = g.num_edges, g.edge_array
-    # edge id of every CSR slot; along a row the ids ascend with the neighbor
-    rows = np.repeat(np.arange(g.num_nodes), g.degrees)
-    slot_edge = g.edge_rows(np.column_stack((rows, g.indices)))
+    # edge id of every CSR slot; along a row the ids ascend with the neighbor.
+    # The forward slots (r < c) are the edges in order; a backward slot (r, c)
+    # is edge (c, r), so by the key c * N + r the backward slots are in order too
+    rows, forward = g._edge_slots()
+    back = np.flatnonzero(~forward)
+    slot_edge = np.empty(2 * n, dtype=np.int64)
+    slot_edge[forward] = np.arange(n)
+    slot_edge[back[np.argsort(g.indices[back] * g.num_nodes + rows[back])]] = np.arange(n)
     gathered = g.degrees[ends].sum(axis=1)  # row e's ids, and e twice
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(gathered - 2, out=indptr[1:])
@@ -59,11 +64,3 @@ def line_graph(g: Graph) -> LineGraphResult:
         lo = hi
     return LineGraphResult(graph=Graph.__new__(Graph)._set_csr(n, indptr, indices))
 
-
-def edge_pair_count(g: Graph) -> int:
-    """Number of adjacent edge pairs, sum over nodes of C(deg, 2).
-
-    This is |E(L(G))|, kept as an independent size oracle for line_graph.
-    """
-    d = g.degrees
-    return int((d * (d - 1) // 2).sum())

@@ -73,9 +73,8 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     uniform random neighbor (or a uniform random node of the whole graph
     when the current node is isolated). Steps that revisit known nodes
     count toward a stagnation counter; after ``_MAX_STAGNANT`` stagnant steps
-    the walk jumps to a uniform random not-yet-collected node (the jump target
-    itself is only collected once the walk steps onto it through the usual
-    rule). The counter resets on progress and on jumps.
+    the walk jumps to a uniform random not-yet-collected node and collects it.
+    The counter resets on progress and on jumps.
 
     Each pick is ``_below``, the draw ``rng.choice`` makes, so the walk and the
     handle's end state are those of one ``random.Random.choice`` per step.
@@ -107,6 +106,8 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
         if stagnant >= max_stagnant:
             potential = sorted(set(range(n)) - visited_set)
             nxt = potential[_below(getrandbits, len(potential))]
+            visited.append(nxt)
+            visited_set.add(nxt)
             stagnant = 0
         current = nxt
 

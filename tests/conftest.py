@@ -56,6 +56,23 @@ def is_connected(g: Graph) -> bool:
     return connected_components(adj, directed=False, return_labels=False) == 1
 
 
+def edge_pair_count(g: Graph) -> int:
+    """Number of adjacent edge pairs, sum over nodes of C(deg, 2).
+
+    This is |E(L(G))|, an independent size oracle for line_graph.
+    """
+    d = g.degrees
+    return int((d * (d - 1) // 2).sum())
+
+
+def write_edge_list(g: Graph, path) -> None:
+    """Write a graph in the edge-list text format, with an `n=` header."""
+    with Path(path).open("w") as fh:
+        fh.write(f"n={g.num_nodes}\n")
+        for u, v in g.edges:
+            fh.write(f"{u} {v}\n")
+
+
 def dense_laplacian(g: Graph) -> np.ndarray:
     """The paper's integer Laplacian L = D - A as a dense N x N array."""
     lap = np.zeros((g.num_nodes, g.num_nodes), dtype=np.int64)

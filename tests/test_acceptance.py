@@ -23,7 +23,6 @@ from riccialign import (
     curvature_distribution,
     curvature_laplacian_residuals,
     delete_edges_randomly,
-    edge_pair_count,
     from_edge_list,
     hungarian,
     lift_to_3d,
@@ -36,7 +35,8 @@ from riccialign import (
     triangular_ring_2d,
 )
 
-from conftest import EXAMPLE_EDGES, assignment_minimum, random_connected_graph, random_graph
+from conftest import (EXAMPLE_EDGES, assignment_minimum, edge_pair_count,
+                      random_connected_graph, random_graph)
 
 
 @contextmanager

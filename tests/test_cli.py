@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from riccialign import Graph, align, common_max_degree, cost_matrix, degree_matrix, \
-    from_edge_list, hungarian, ricci_matrix, write_edge_list
+    from_edge_list, hungarian, ricci_matrix
 from riccialign import cli
 from riccialign.alignment import MODES
 from riccialign.cli import main
 from riccialign.experiments import ExperimentConfig
 
-from conftest import preferential_attachment_graph, write_graphml
+from conftest import preferential_attachment_graph, write_edge_list, write_graphml
 
 
 def test_torus_command(capsys, tmp_path):

@@ -22,11 +22,10 @@ from riccialign import (
     run_ppi_experiment,
     run_torus_experiment,
     triangular_ring_2d,
-    write_edge_list,
 )
 from riccialign.experiments import RoundResult, load_graph, random_connected_graph
 
-from conftest import is_connected, preferential_attachment_graph, write_graphml
+from conftest import is_connected, preferential_attachment_graph, write_edge_list, write_graphml
 
 
 def test_torus_experiment_classes():

@@ -13,9 +13,9 @@ import pytest
 
 import riccialign.experiments as experiments
 from riccialign import (ExperimentConfig, common_max_degree, cost_matrix, ricci_matrix,
-                        run_ppi_experiment, write_edge_list)
+                        run_ppi_experiment)
 
-from conftest import certified_optimal, preferential_attachment_graph
+from conftest import certified_optimal, preferential_attachment_graph, write_edge_list
 
 GOLDEN_CORRECT = [459, 438, 429, 439, 421, 457, 422, 422, 443, 416]
 GOLDEN_TOTAL_COST = [74825.1103042793, 98834.64325660601, 82850.99978086028,

@@ -11,7 +11,6 @@ from riccialign import (
     from_edge_list,
     load_graphml,
     read_edge_list,
-    write_edge_list,
 )
 from riccialign.tessellation import TRIANGULAR_RING_EDGES
 
@@ -20,6 +19,7 @@ from conftest import (
     load_graphml_reference,
     preferential_attachment_graph,
     random_graph,
+    write_edge_list,
     write_graphml,
 )
 

@@ -7,14 +7,14 @@ from riccialign import (
     RngHandle,
     align,
     delete_edges_randomly,
-    edge_pair_count,
     from_edge_list,
     line_graph,
     linegraph,
     random_walk_sample,
 )
 
-from conftest import is_connected, random_connected_graph, random_graph, traced_peak
+from conftest import (edge_pair_count, is_connected, random_connected_graph, random_graph,
+                      traced_peak)
 
 K3 = [(0, 1), (0, 2), (1, 2)]
 CLAW = [(0, 1), (0, 2), (0, 3)]
@@ -112,7 +112,8 @@ def test_line_graph_peak_memory_is_about_the_output():
 
 
 def test_a_round_builds_no_edge_list_for_the_universe_or_g2():
-    # the walk, induced_subgraph and the curvature rows read only the CSR arrays
+    # the walk, induced_subgraph, the deletion and the curvature rows read
+    # only the CSR arrays
     universe = line_graph(random_connected_graph(60, seed=4)).graph
     assert universe._edge_array is None
     rng = RngHandle(5)
@@ -120,4 +121,4 @@ def test_a_round_builds_no_edge_list_for_the_universe_or_g2():
     g2 = delete_edges_randomly(g1, 0.2, rng)
     assert g2.num_edges < g1.num_edges
     align(g1, g2)
-    assert universe._edge_array is None and g2._edge_array is None
+    assert all(g._edge_array is None for g in (universe, g1, g2))

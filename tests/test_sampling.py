@@ -147,15 +147,32 @@ def test_walk_through_isolated_nodes_draws_like_choice(monkeypatch, walk_orders,
 
 @pytest.mark.parametrize("max_stagnant", [1, 2])
 def test_walk_jumps_draw_like_choice(monkeypatch, walk_orders, max_stagnant):
-    # the jump draws from the sorted not-yet-collected nodes. A jump target is
-    # only collected when a later step lands on it, so at _MAX_STAGNANT = 1 a
-    # target whose neighbors are all collected is never reached; on disjoint
-    # edges and isolated nodes that cannot happen
+    # the jump draws from the sorted not-yet-collected nodes and collects the
+    # node it lands on, on disjoint edges and isolated nodes
     monkeypatch.setattr(sampling, "_MAX_STAGNANT", max_stagnant)
     g = from_edge_list([(2 * i, 2 * i + 1) for i in range(6)], n=16)
     for seed in range(12):
         for size in (5, 16):
             assert_walks_like_choice(g, size, seed, walk_orders)
+
+
+def test_walk_that_jumps_after_every_stagnant_step_finishes(monkeypatch, walk_orders):
+    # on a star every step from a leaf returns to the collected hub, so only
+    # jumps collect the other leaves: a jump that left its target uncollected
+    # would jump from leaf to leaf forever. The draws are bounded so that such
+    # a walk fails instead of hanging
+    monkeypatch.setattr(sampling, "_MAX_STAGNANT", 1)
+    below, draws = sampling._below, []
+
+    def bounded(getrandbits, n):
+        draws.append(n)
+        assert len(draws) < 10_000, "the walk does not finish"
+        return below(getrandbits, n)
+
+    monkeypatch.setattr(sampling, "_below", bounded)
+    g = from_edge_list([(0, v) for v in range(1, 11)])
+    for seed in range(12):
+        assert_walks_like_choice(g, 11, seed, walk_orders)
 
 
 def test_delete_edges_p_zero_keeps_everything(lifted_torus):
