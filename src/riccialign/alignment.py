@@ -77,13 +77,19 @@ def _signature_rows(g: Graph, m: int, features) -> np.ndarray:
     if n * span >= 2 ** 63:
         raise GraphError("signature features span too wide a range for int64 sort keys")
     # one sort of the keys owner * span + (value - low) sorts every row at
-    # once; owners stay ascending, so the sorted keys are still in CSR order
-    base = np.repeat(np.arange(n) * span, deg)
-    keys = np.sort(base + (vals - low))
+    # once; owners stay ascending, so the sorted keys are still in CSR order.
+    # Every key is below n * span, so int32 keys are exact when that fits
+    dtype = np.int32 if n * span < 2 ** 31 else np.int64
+    base = np.repeat(np.arange(n, dtype=dtype) * span, deg)
+    vals -= low
+    keys = np.add(base, vals, dtype=dtype)
+    keys.sort()
+    keys -= base
+    np.add(keys, low, out=vals, dtype=np.int64)
     # CSR entry i goes to slot i - indptr[owner] of its owner's row
     flat = np.arange(len(vals)) + np.repeat(np.arange(n) * m - g.indptr[:-1], deg)
     rows = np.zeros((n, m), dtype=np.int64)
-    rows.reshape(-1)[flat] = keys - base + low
+    rows.reshape(-1)[flat] = vals
     return rows
 
 
@@ -181,12 +187,13 @@ def _equal_rows_assignment(rows1: np.ndarray, rows2: np.ndarray) -> Assignment |
     """The zero-cost assignment when both row sets are one multiset, else None.
 
     Each int64 row is viewed as one np.void key, equal exactly when the rows
-    are. The k-th row of rows1 in stable key order goes to the k-th of rows2,
-    so every pair costs 0.0, which no assignment undercuts.
+    are. The k-th row of rows1 in stable key order goes to the k-th of rows2;
+    the multisets are equal exactly when every row then equals its image's
+    row, and then every pair costs 0.0, which no assignment undercuts.
     """
     n, m = rows1.shape
     if m == 0:  # a void view of size 0 drops the rows; empty rows are all equal
-        order1 = order2 = np.arange(n)
+        dst = np.arange(n)
     else:
         a = np.ascontiguousarray(rows1, dtype=np.int64)
         b = np.ascontiguousarray(rows2, dtype=np.int64)
@@ -194,13 +201,13 @@ def _equal_rows_assignment(rows1: np.ndarray, rows2: np.ndarray) -> Assignment |
         if a.sum() != b.sum():
             return None
         key = np.dtype((np.void, 8 * m))
-        order1 = np.argsort(a.view(key).ravel(), kind="stable")
-        order2 = np.argsort(b.view(key).ravel(), kind="stable")
+        dst = np.empty(n, dtype=np.int64)
+        dst[np.argsort(a.view(key).ravel(), kind="stable")] = \
+            np.argsort(b.view(key).ravel(), kind="stable")
+        # the zero-cost property itself, every row equal to its image's row;
         # int64 rows compare far faster than their void keys
-        if not np.array_equal(a[order1], b[order2]):
+        if not np.array_equal(a, b[dst]):
             return None
-    dst = np.empty(n, dtype=np.int64)
-    dst[order1] = order2
     return Assignment(mapping=dict(enumerate(dst.tolist())), total_cost=0.0,
                       row_costs=(0.0,) * n)
 

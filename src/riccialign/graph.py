@@ -13,8 +13,9 @@ order reproducible.
 
 Graphs derived from a valid Graph (``induced_subgraph``, the edges kept by
 ``delete_edges_randomly``, ``line_graph``) skip the constructor's checks and
-full sort: their entries come from the parent's arrays in CSR order, as two
-sorted runs one stable sort merges, or as the line graph's finished CSR rows.
+full sort: their entries come from the parent's arrays in CSR order, as
+finished CSR rows (the subgraph's and the line graph's) or as two sorted runs
+one stable sort merges (the deletion's).
 
 ``load_graphml`` reads GraphML in one ``xml.parsers.expat`` pass that builds
 no element tree.
@@ -188,12 +189,15 @@ class Graph:
         rows = np.repeat(np.arange(self.num_nodes), self.degrees)
         return rows, rows < self.indices
 
-    def _row_slots(self, rows: np.ndarray) -> np.ndarray:
-        """Positions in `indices` of the given rows' entries, row by row."""
+    def _row_slots(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in `indices` of the given rows' entries, row by row, and
+        the end of each row's run among them."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        offsets = np.cumsum(lengths) - lengths
-        return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+        ends = np.cumsum(lengths)
+        slots = np.repeat(starts - ends + lengths, lengths)
+        slots += np.arange(len(slots))  # in place: two entry-sized arrays at most
+        return slots, ends
 
     def induced_subgraph(self, keep) -> "Graph":
         """Subgraph on `keep` with all internal edges, relabeled to 0..k-1.
@@ -205,14 +209,19 @@ class Graph:
         kept = kept[np.diff(kept, prepend=-1) != 0]
         new_id = np.full(self.num_nodes, -1, dtype=np.int64)
         new_id[kept] = np.arange(len(kept))
-        # only the kept nodes' rows are read, not every parent edge
-        slots = self._row_slots(kept)
-        src = np.repeat(np.arange(len(kept)), self.indptr[kept + 1] - self.indptr[kept])
-        dst = new_id[self.indices[slots]]
+        # only the kept nodes' rows are read, not every parent edge; an entry
+        # whose neighbour is not kept gets -1
+        slots, ends = self._row_slots(kept)
+        dst = self.indices[slots]
+        del slots  # so that at most two entry-sized arrays are alive at once
+        dst = new_id[dst]
         # new ids keep the parent order, so the kept entries are in CSR order;
         # on such scattered masks, indices gather faster than a boolean mask
         inside = np.flatnonzero(dst >= 0)
-        return Graph.__new__(Graph)._store(len(kept), src[inside], dst[inside])
+        # indptr[i + 1] counts the kept entries before the end of gathered row i
+        indptr = np.zeros(len(kept) + 1, dtype=np.int64)
+        indptr[1:] = np.searchsorted(inside, ends)
+        return Graph.__new__(Graph)._set_csr(len(kept), indptr, dst[inside])
 
     def _keep_edges(self, keep: np.ndarray) -> "Graph":
         """Same nodes, only the edges where the boolean `keep` is set."""

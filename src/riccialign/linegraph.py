@@ -55,7 +55,7 @@ def line_graph(g: Graph) -> LineGraphResult:
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] + _CHUNK_ENTRIES, "right")) - 1)
         row = np.repeat(np.arange(lo, hi), gathered[lo:hi])
-        ids = slot_edge[g._row_slots(ends[lo:hi].ravel())]
+        ids = slot_edge[g._row_slots(ends[lo:hi].ravel())[0]]
         other = ids != row
         row, ids = row[other], ids[other]
         # one stable sort of row-major keys merges each row's two ascending runs

@@ -89,29 +89,26 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     indptr, indices = memoryview(g.indptr), memoryview(g.indices)  # plain-int reads
     getrandbits = rng.generator.getrandbits
     current = _below(getrandbits, n)
-    visited = [current]
-    visited_set = {current}
+    visited = {current: None}
     stagnant, max_stagnant = 0, _MAX_STAGNANT
 
     while len(visited) < size:
         lo = indptr[current]
         degree = indptr[current + 1] - lo
         nxt = indices[lo + _below(getrandbits, degree)] if degree else _below(getrandbits, n)
-        if nxt not in visited_set:
-            visited.append(nxt)
-            visited_set.add(nxt)
+        if nxt not in visited:
+            visited[nxt] = None
             stagnant = 0
         else:
             stagnant += 1
         if stagnant >= max_stagnant:
-            potential = sorted(set(range(n)) - visited_set)
+            potential = sorted(set(range(n)).difference(visited))
             nxt = potential[_below(getrandbits, len(potential))]
-            visited.append(nxt)
-            visited_set.add(nxt)
+            visited[nxt] = None
             stagnant = 0
         current = nxt
 
-    return g.induced_subgraph(visited)
+    return g.induced_subgraph(np.fromiter(visited, dtype=np.int64, count=len(visited)))
 
 
 def _check_probability(p) -> None:

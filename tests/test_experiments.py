@@ -190,6 +190,24 @@ def test_round_one_timer_starts_with_scipy_optimize_loaded(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_zero_deletion_run_never_imports_scipy_optimize(tmp_path):
+    # at p=0 G2 is G1, so every round pairs equal rows and none solves
+    torus = tmp_path / "torus.edges"
+    write_edge_list(lift_to_3d(triangular_ring_2d()), torus)
+    code = textwrap.dedent(f"""
+        import sys
+        from riccialign import ExperimentConfig, run_ppi_experiment
+        cfg = ExperimentConfig({str(torus)!r}, intermediate_sample_size=30,
+                               subgraph_size=20, deletion_probability=0.0, rounds=3)
+        assert len(run_ppi_experiment(cfg).per_round) == 3
+        assert "scipy.optimize" not in sys.modules
+    """)
+    src = str(Path(riccialign.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 def test_ppi_experiment_is_seed_deterministic(small_network):
     first = run_ppi_experiment(_small_config(small_network))
     second = run_ppi_experiment(_small_config(small_network))

@@ -19,6 +19,7 @@ from conftest import (
     load_graphml_reference,
     preferential_attachment_graph,
     random_graph,
+    traced_peak,
     write_edge_list,
     write_graphml,
 )
@@ -194,6 +195,19 @@ def test_induced_subgraph_of_triangle():
 def test_induced_subgraph_rejects_foreign_id():
     with pytest.raises(GraphError):
         from_edge_list([(0, 1)]).induced_subgraph({0, 9})
+
+
+def test_induced_subgraph_peak_memory_is_about_two_gathered_arrays():
+    # a walk's subgraph gathers its nodes' whole parent rows and keeps about
+    # a third of the entries: at most the gathered ids and their new ids are
+    # alive at once, no row array or counts beside them
+    pairs = np.random.default_rng(0).integers(0, 3000, size=(100_000, 2))
+    g = Graph(3000, pairs[pairs[:, 0] != pairs[:, 1]])
+    keep = np.random.default_rng(1).permutation(3000)[:1000]
+    gathered = g.degrees[keep].sum()
+    sub, peak = traced_peak(lambda: g.induced_subgraph(keep))
+    assert 3 * sub.indices.size < 1.2 * gathered
+    assert peak < 3 * 8 * gathered
 
 
 # -- GraphML ----------------------------------------------------------------

@@ -213,6 +213,17 @@ def test_signature_rows_guard_the_sort_key_range():
     assert _signature_rows(g, 1, [0, 2**62 - 2]).tolist() == [[2**62 - 2], [0]]
 
 
+# n * span around 2^31 on K4 (2^31 - 1 is prime): every key is below n * span,
+# and the largest key here fits int32, equals 2^31 - 1, or overflows int32
+@pytest.mark.parametrize("span", [2**29 - 1, 2**29, 2**29 + 1])
+def test_signature_rows_are_exact_on_both_sides_of_int32_sort_keys(span):
+    g = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    low = -7
+    features = [low + span - 1, low, low + span // 3, low + span // 2]
+    rows = _signature_rows(g, 3, features)
+    assert rows.tolist() == [sorted(features[:v] + features[v + 1:]) for v in range(4)]
+
+
 def assert_stored_like_the_constructor(g):
     """g's arrays equal those Graph() builds from g's own edges."""
     ref = Graph(g.num_nodes, g.edge_array)
@@ -232,11 +243,15 @@ def test_derived_graphs_store_what_the_constructor_would(data, draw, seed, p):
     assert_stored_like_the_constructor(delete_edges_randomly(g, p, RngHandle(seed)))
 
 
-@pytest.mark.parametrize("keep", [[0, 1, 2, 4, 5], [3], [1, 2, 3, 4, 5, 6]],
-                         ids=["isolated-last", "single-node", "all-but-one"])
+@pytest.mark.parametrize("keep", [
+    [0, 1, 2, 4, 5], [3], [1, 2, 3, 4, 5, 6], [0, 3, 6], [0, 3, 4], [6, 2, 0, 2, 3, 6],
+], ids=["isolated-last", "single-node", "all-but-one", "first-without-kept-neighbour",
+        "no-kept-edges", "repeats-unsorted"])
 def test_induced_subgraph_edge_cases_store_what_the_constructor_would(keep):
-    g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 6)])
-    assert_stored_like_the_constructor(g.induced_subgraph(keep))
+    pairs = [(0, 1), (1, 2), (0, 2), (3, 6)]
+    sub = Graph(7, pairs).induced_subgraph(keep)
+    assert_stored_like_the_constructor(sub)
+    assert sub.edges == reference_subgraph_edges(Reference(7, pairs), keep)
 
 
 @pytest.mark.parametrize("p, kept", [(0.0, 4), (1.0, 0)])
