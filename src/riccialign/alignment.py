@@ -246,6 +246,8 @@ def write_assignment_csv(a: Assignment, path) -> None:
     if len(a.row_costs) != len(a.mapping):
         raise GraphError(f"assignment has {len(a.row_costs)} row costs "
                          f"for {len(a.mapping)} pairs")
+    if set(a.mapping) != set(range(len(a.mapping))):
+        raise GraphError(f"assignment keys must be the nodes 0..{len(a.mapping) - 1}")
     with Path(path).open("w") as fh:
         fh.write("g1_node,g2_node,row_cost\n")
         for src in sorted(a.mapping):

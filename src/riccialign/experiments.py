@@ -11,6 +11,7 @@ deletion, an alignment, and a fixed-point count by node id.
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -42,7 +43,7 @@ def _check_integers(**values) -> None:
 class ExperimentConfig:
     """Configuration of one PPI line-graph alignment experiment."""
 
-    input_path: str
+    input_path: str | os.PathLike
     intermediate_sample_size: int = 1000
     subgraph_size: int = 500
     deletion_probability: float = 0.01
@@ -51,6 +52,8 @@ class ExperimentConfig:
     mode: str = "rmc"
 
     def __post_init__(self):
+        if not isinstance(self.input_path, (str, os.PathLike)):
+            raise GraphError(f"input_path must be a str or os.PathLike, got {self.input_path!r}")
         _check_integers(**{name: getattr(self, name) for name in
                            ("intermediate_sample_size", "subgraph_size", "rounds", "seed")})
         if self.subgraph_size > self.intermediate_sample_size:
@@ -270,7 +273,7 @@ def run_cle_verification(num_graphs: int = 100, max_n: int = 30,
         ("line graph of K1,3", line_graph(Graph(4, [(0, 1), (0, 2), (0, 3)])).graph),
     ]
     for k in range(num_graphs):
-        n = rng.generator.randint(2, max_n)
+        n = rng.randint(2, max_n)
         checks.append((f"random connected graph #{k + 1} (n={n})",
                        random_connected_graph(n, rng)))
     return [(name, curvature_laplacian_holds(g)) for name, g in checks]

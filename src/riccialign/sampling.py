@@ -23,31 +23,26 @@ _thread = threading.local()  # one numpy Mersenne Twister per thread, for the de
 _MAX_STAGNANT = 100  # stagnant walk steps before a jump to an unvisited node
 
 
-class RngHandle:
-    """Seeded random generator; the same seed replays the same draws.
+class RngHandle(random.Random):
+    """A ``random.Random`` whose seeds are checked; the same seed replays the same draws.
 
-    Seeds are Python or numpy integers; anything else, bools included,
-    raises GraphError, and so does a seed below 0 (random.Random seeds from
-    the absolute value, so -s would replay s).
+    Seeds, at construction and on reseed, are Python or numpy integers;
+    anything else, bools included, raises GraphError, and so does a seed
+    below 0 (random.Random seeds from the absolute value, so -s would replay s).
 
     A handle is stateful and must not be shared across threads; give each
     thread its own handle instead.
     """
 
-    def __init__(self, seed: int):
-        self.seed = int(_integers(seed, ()))
-        if self.seed < 0:
-            raise GraphError(f"seed must be >= 0, got {self.seed}")
-        self.generator = random.Random(self.seed)
+    def seed(self, a, version=2):
+        a = int(_integers(a, ()))
+        if a < 0:
+            raise GraphError(f"seed must be >= 0, got {a}")
+        super().seed(a, version)
 
-    def choice(self, seq):
-        return self.generator.choice(seq)
-
-    def random(self) -> float:
-        return self.generator.random()
-
-    def __repr__(self) -> str:
-        return f"RngHandle(seed={self.seed})"
+    def __reduce__(self):
+        # random.Random's calls the class with no seed, which seed() rejects
+        return type(self), (0,), self.getstate()
 
 
 def _below(getrandbits, n: int) -> int:
@@ -55,9 +50,9 @@ def _below(getrandbits, n: int) -> int:
 
     On CPython 3.10-3.13 ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, and
     ``_randbelow(n)`` draws ``getrandbits(n.bit_length())`` until the result
-    is below n. This is that loop, without the method calls around it; the
-    tests compare walks with ``choice`` itself, so a CPython that draws
-    otherwise fails them.
+    is below n. This is that loop; binding ``rng._randbelow`` instead made
+    walks of 500 and 2000 nodes about 20% slower. The tests compare walks
+    with ``choice`` itself, so a CPython that draws otherwise fails them.
     """
     k = n.bit_length()
     r = getrandbits(k)
@@ -76,8 +71,8 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     the walk jumps to a uniform random not-yet-collected node and collects it.
     The counter resets on progress and on jumps.
 
-    Each pick is ``_below``, the draw ``rng.choice`` makes, so the walk and the
-    handle's end state are those of one ``random.Random.choice`` per step.
+    Steps draw with ``_below`` and jumps with ``rng.choice``, the same draw, so
+    the walk and the handle's end state are those of one ``choice`` per step.
     The CSR rows are read through memoryviews, which give plain ints.
     """
     if _integers(size, ()) <= 0:
@@ -87,7 +82,7 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
 
     n = g.num_nodes
     indptr, indices = memoryview(g.indptr), memoryview(g.indices)  # plain-int reads
-    getrandbits = rng.generator.getrandbits
+    getrandbits = rng.getrandbits
     current = _below(getrandbits, n)
     visited = {current: None}
     stagnant, max_stagnant = 0, _MAX_STAGNANT
@@ -102,8 +97,7 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
         else:
             stagnant += 1
         if stagnant >= max_stagnant:
-            potential = sorted(set(range(n)).difference(visited))
-            nxt = potential[_below(getrandbits, len(potential))]
+            nxt = rng.choice(sorted(set(range(n)).difference(visited)))
             visited[nxt] = None
             stagnant = 0
         current = nxt
@@ -128,7 +122,7 @@ def delete_edges_randomly(g: Graph, p: float, rng: RngHandle) -> Graph:
     When every edge is kept (always at p=0) the result is `g` itself.
     """
     _check_probability(p)
-    version, internal, gauss_next = rng.generator.getstate()
+    version, internal, gauss_next = rng.getstate()
     if not hasattr(_thread, "draw"):  # seeded once: the handle's state replaces it
         _thread.draw = np.random.Generator(np.random.MT19937(0))
     key = np.array(internal[:-1], dtype=np.uint32)
@@ -136,5 +130,5 @@ def delete_edges_randomly(g: Graph, p: float, rng: RngHandle) -> Graph:
     bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
     keep = _thread.draw.random(g.num_edges) >= p
     state = bits.state["state"]
-    rng.generator.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
     return g if keep.all() else g._keep_edges(keep)

@@ -448,6 +448,16 @@ def test_write_assignment_csv(tmp_path):
         write_assignment_csv(Assignment(mapping={0: 0}, total_cost=0.0), path)
 
 
+@pytest.mark.parametrize("mapping, row_costs", [
+    ({1: 0}, (0.0,)),
+    ({0: 1, 2: 0}, (0.0, 1.0)),
+], ids=["key-past-the-end", "key-gap"])
+def test_write_assignment_csv_keys_must_be_the_nodes(tmp_path, mapping, row_costs):
+    # the row costs are indexed by node id, so other keys would read the wrong one or none
+    with pytest.raises(GraphError, match="keys"):
+        write_assignment_csv(Assignment(mapping, 0.0, row_costs), tmp_path / "a.csv")
+
+
 def test_row_costs_list_each_pairs_cost():
     c = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
     a = hungarian(c)

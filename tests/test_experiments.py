@@ -106,6 +106,12 @@ def test_config_validation(tmp_path):
         ExperimentConfig(input_path="x", seed=-1)
 
 
+@pytest.mark.parametrize("path", [None, 123, b"x"], ids=["none", "int", "bytes"])
+def test_input_path_must_be_a_str_or_path(path):
+    with pytest.raises(GraphError, match="input_path"):
+        ExperimentConfig(input_path=path)
+
+
 @pytest.mark.parametrize("make", [
     lambda: random_walk_sample(random_connected_graph(10, RngHandle(0)), 2.5, RngHandle(0)),
     lambda: random_walk_sample(random_connected_graph(10, RngHandle(0)), True, RngHandle(0)),

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +44,28 @@ def test_rng_handle_rejects_negative_seeds():
     with pytest.raises(GraphError, match="seed must be >= 0"):
         RngHandle(-3)
     assert RngHandle(0).random() == random.Random(0).random()
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.5], ids=["negative", "bool", "float"])
+def test_rng_handle_reseeds_are_checked(bad):
+    with pytest.raises(GraphError):
+        RngHandle(1).seed(bad)
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy,
+    copy.deepcopy,
+    lambda rng: pickle.loads(pickle.dumps(rng)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_rng_handle_copies_are_independent_handles_in_the_same_state(duplicate):
+    rng = RngHandle(8)
+    rng.random()
+    dup = duplicate(rng)
+    assert type(dup) is RngHandle and isinstance(dup, random.Random)
+    assert dup.getstate() == rng.getstate()
+    assert [dup.random() for _ in range(3)] == [rng.random() for _ in range(3)]
+    dup.random()  # draws from the copy leave the original where it was
+    assert dup.getstate() != rng.getstate()
 
 
 def test_full_size_sample_is_a_copy():
@@ -119,7 +143,7 @@ def assert_walks_like_choice(g, size, seed, orders):
     random_walk_sample(g, size, rng)
     ref = reference_walk(Reference(g.num_nodes, g.edges), size, ref_rng, sampling._MAX_STAGNANT)
     assert orders[-1] == ref
-    assert rng.generator.getstate() == ref_rng.generator.getstate()
+    assert rng.getstate() == ref_rng.getstate()
 
 
 # choice(seq) draws getrandbits(len(seq).bit_length()) until the result is
@@ -218,10 +242,10 @@ def test_deletion_hands_the_stream_back_like_per_edge_draws(num_edges, seed, gau
     g = from_edge_list([(i, i + 1) for i in range(num_edges)], n=num_edges + 1)
     rng, ref = RngHandle(seed), random.Random(seed)
     if gauss_first:  # consumes two draws and leaves gauss_next pending
-        assert rng.generator.gauss() == ref.gauss()
+        assert rng.gauss() == ref.gauss()
     kept = delete_edges_randomly(g, 0.3, rng)
     assert kept.edges == tuple(e for e in g.edges if ref.random() >= 0.3)
-    assert rng.generator.getstate() == ref.getstate()
+    assert rng.getstate() == ref.getstate()
     assert rng.random() == ref.random()
 
 
@@ -230,7 +254,7 @@ def test_deletion_leaves_the_state_of_per_edge_draws_at_any_p(lifted_torus, p):
     rng, ref = RngHandle(5), random.Random(5)
     kept = delete_edges_randomly(lifted_torus, p, rng)
     assert kept.edges == tuple(e for e in lifted_torus.edges if ref.random() >= p)
-    assert rng.generator.getstate() == ref.getstate()
+    assert rng.getstate() == ref.getstate()
 
 
 def test_deletion_in_threads_matches_sequential_calls():
@@ -240,7 +264,7 @@ def test_deletion_in_threads_matches_sequential_calls():
     def rounds(seed):
         rng = RngHandle(seed)
         kept = [delete_edges_randomly(g, 0.3, rng) for _ in range(30)]
-        return kept, rng.generator.getstate()
+        return kept, rng.getstate()
 
     sequential = [rounds(seed) for seed in seeds]
     interval = sys.getswitchinterval()
