@@ -22,7 +22,6 @@ from .curvature import (
     curvature_laplacian_residuals,
     edge_curvatures,
     node_curvatures,
-    write_distribution_csv,
 )
 from .tessellation import lift_to_3d, triangular_ring_2d
 from .linegraph import LineGraphResult, line_graph
@@ -37,14 +36,12 @@ from .alignment import (
     hungarian,
     ricci_matrix,
     score_alignment,
-    write_assignment_csv,
 )
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
     ExperimentReport,
     TorusReport,
-    emit_report,
     run_cle_verification,
     run_ppi_experiment,
     run_torus_experiment,
@@ -55,14 +52,14 @@ __all__ = [
     "Graph", "GraphError", "GraphMLError", "DirectedGraphError",
     "from_edge_list", "load_graphml", "read_edge_list",
     "edge_curvatures", "node_curvatures", "curvature_distribution",
-    "write_distribution_csv", "curvature_laplacian_residuals", "curvature_laplacian_holds",
+    "curvature_laplacian_residuals", "curvature_laplacian_holds",
     "triangular_ring_2d", "lift_to_3d",
     "LineGraphResult", "line_graph",
     "RngHandle", "random_walk_sample", "delete_edges_randomly",
     "SignatureMatrix", "Assignment", "common_max_degree", "degree_matrix",
     "ricci_matrix", "cost_matrix", "hungarian", "align",
-    "score_alignment", "write_assignment_csv",
+    "score_alignment",
     "ExperimentConfig", "ExperimentReport", "ExperimentError", "TorusReport",
-    "run_torus_experiment", "run_ppi_experiment", "emit_report",
+    "run_torus_experiment", "run_ppi_experiment",
     "run_cle_verification",
 ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -239,16 +238,3 @@ def score_alignment(a: Assignment) -> tuple[int, float]:
     if not a.mapping:
         return 0, 0.0
     return correct, 100.0 * correct / len(a.mapping)
-
-
-def write_assignment_csv(a: Assignment, path) -> None:
-    """Write `g1_node,g2_node,row_cost` lines in g1 node order from `a.row_costs`."""
-    if len(a.row_costs) != len(a.mapping):
-        raise GraphError(f"assignment has {len(a.row_costs)} row costs "
-                         f"for {len(a.mapping)} pairs")
-    if set(a.mapping) != set(range(len(a.mapping))):
-        raise GraphError(f"assignment keys must be the nodes 0..{len(a.mapping) - 1}")
-    with Path(path).open("w") as fh:
-        fh.write("g1_node,g2_node,row_cost\n")
-        for src in sorted(a.mapping):
-            fh.write(f"{src},{a.mapping[src]},{a.row_costs[src]}\n")

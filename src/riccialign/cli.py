@@ -1,4 +1,5 @@
-"""Command line entry points: `rmc torus | ppi | verify-cle | align`."""
+"""Command line entry points, `rmc torus | ppi | verify-cle | align`, and every
+file they write."""
 
 from __future__ import annotations
 
@@ -9,13 +10,10 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .alignment import MODES, align, score_alignment, write_assignment_csv
-from .curvature import write_distribution_csv
+from .alignment import MODES, align, score_alignment
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
-    check_report_path,
-    emit_report,
     load_graph,
     run_cle_verification,
     run_ppi_experiment,
@@ -69,19 +67,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_writable(*paths) -> None:
-    """Fail before an experiment runs, not after it, on an unwritable output path."""
-    for path in filter(None, paths):
-        existed = Path(path).exists()
-        Path(path).open("a").close()
-        if not existed:
-            Path(path).unlink()
+def _check_out(path, suffixes=()) -> None:
+    """Fail before any work, not after it, on an output path that is empty,
+    has a suffix outside `suffixes` (when given) or cannot be written."""
+    if path is None:
+        return
+    if not path:
+        raise ValueError("an output path must not be empty")
+    suffix = Path(path).suffix
+    if suffixes and suffix not in suffixes:
+        *rest, last = suffixes
+        use = f"{', '.join(rest)} or {last}" if rest else last
+        raise ValueError(f"unknown report suffix {suffix!r} (use {use})")
+    existed = Path(path).exists()
+    Path(path).open("a").close()
+    if not existed:
+        Path(path).unlink()
+
+
+def _write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _write_lines(path, header, lines) -> None:
+    Path(path).write_text("\n".join([header, *lines]) + "\n")
 
 
 def _cmd_torus(args) -> int:
-    if args.out and Path(args.out).suffix != ".json":
-        raise ValueError(f"unknown report suffix {Path(args.out).suffix!r} (use .json)")
-    _check_writable(args.out, args.histogram)
+    _check_out(args.out, (".json",))
+    _check_out(args.histogram)
     report = run_torus_experiment()
     labels = ("A", "B", "C")
     print("lifted triangular torus: 36 nodes, 90 edges")
@@ -90,11 +104,12 @@ def _cmd_torus(args) -> int:
               f"Ricci row {list(report.row_forms[label])}")
     print(f"  hole alignment (A nodes mapped to A nodes): {report.hole_alignment_rate:g}%")
     print(f"  total assignment cost: {report.total_cost:g}")
-    if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    if args.out is not None:
+        _write_json(args.out, dataclasses.asdict(report))
         print(f"report written to {args.out}")
-    if args.histogram:
-        write_distribution_csv(report.distribution, args.histogram)
+    if args.histogram is not None:
+        _write_lines(args.histogram, "value,count",
+                     (f"{value},{count}" for value, count in report.distribution))
         print(f"histogram written to {args.histogram}")
     return 0 if report.hole_alignment_rate == 100.0 else 1
 
@@ -102,17 +117,31 @@ def _cmd_torus(args) -> int:
 def _cmd_ppi(args) -> int:
     cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
                               for f in dataclasses.fields(ExperimentConfig)})
-    if args.out:
-        check_report_path(args.out)
-    _check_writable(args.out)
+    _check_out(args.out, (".json", ".csv", ".md"))
     report = run_ppi_experiment(cfg)
     for r in report.per_round:
-        print(f"round {r.round_index}: {r.correct} correct "
+        print(f"round {r.round}: {r.correct} correct "
               f"({r.percentage:g}%) in {r.seconds:.2f}s")
     print(f"mean percentage: {report.mean_percentage:g}%")
-    if args.out:
-        emit_report(report, args.out)
-        print(f"report written to {args.out}")
+    if args.out is None:
+        return 0
+    # the suffix picks the format: .json echoes the config and the version,
+    # .md is the paper's per-round table and the mean
+    rounds, suffix = report.per_round, Path(args.out).suffix
+    if suffix == ".json":
+        _write_json(args.out, {"config": dataclasses.asdict(report.config),
+                               "version": __version__,
+                               "rounds": [dataclasses.asdict(r) for r in rounds],
+                               "mean_percentage": report.mean_percentage})
+    elif suffix == ".csv":
+        _write_lines(args.out, "round,correct,percentage",
+                     (f"{r.round},{r.correct},{r.percentage:g}" for r in rounds))
+    else:
+        _write_lines(args.out,
+                     "| Round | Absolute Node Count | Percentage |\n| --- | --- | --- |",
+                     [*(f"| {r.round} | {r.correct} | {r.percentage:g}% |" for r in rounds),
+                      f"\nMean percentage: {report.mean_percentage:g}%"])
+    print(f"report written to {args.out}")
     return 0
 
 
@@ -128,11 +157,12 @@ def _cmd_verify_cle(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    _check_writable(args.out)
+    _check_out(args.out)
     g1 = load_graph(args.g1)
     g2 = load_graph(args.g2)
     result = align(g1, g2, MODES[args.mode])
-    write_assignment_csv(result, args.out)
+    _write_lines(args.out, "g1_node,g2_node,row_cost",
+                 (f"{v},{result.mapping[v]},{c}" for v, c in enumerate(result.row_costs)))
     correct, pct = score_alignment(result)
     print(f"aligned {g1.num_nodes} nodes, total cost {result.total_cost:g}")
     print(f"fixed points: {correct} ({pct:g}%)")

@@ -14,7 +14,6 @@ functions are pure, so evaluating them concurrently on one graph is safe.
 from __future__ import annotations
 
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 
@@ -73,11 +72,3 @@ def curvature_laplacian_holds(g: Graph) -> bool:
 def curvature_distribution(g: Graph) -> list[tuple]:
     """Node-curvature histogram as (value, count) pairs, value ascending."""
     return sorted(Counter(node_curvatures(g)).items())
-
-
-def write_distribution_csv(distribution, path) -> None:
-    """Write a (value, count) histogram as `value,count` lines."""
-    with Path(path).open("w") as fh:
-        fh.write("value,count\n")
-        for value, count in distribution:
-            fh.write(f"{value},{count}\n")

@@ -10,14 +10,12 @@ deletion, an alignment, and a fixed-point count by node id.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._version import __version__
 from .graph import Graph, GraphError, _integers, load_graphml, read_edge_list
 from .curvature import curvature_distribution, curvature_laplacian_holds, node_curvatures
 from .tessellation import triangular_ring_2d, lift_to_3d
@@ -71,7 +69,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RoundResult:
-    round_index: int
+    round: int
     correct: int
     percentage: float
     seconds: float
@@ -79,24 +77,11 @@ class RoundResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-round correct-match counts plus configuration and version echo."""
+    """Per-round correct-match counts plus the configuration that produced them."""
 
     per_round: tuple
     mean_percentage: float
     config: ExperimentConfig
-    version: str = __version__
-
-    def to_dict(self) -> dict:
-        return {
-            "config": {**asdict(self.config), "input_path": str(self.config.input_path)},
-            "version": self.version,
-            "rounds": [
-                {"round": r.round_index, "correct": r.correct,
-                 "percentage": r.percentage, "seconds": r.seconds}
-                for r in self.per_round
-            ],
-            "mean_percentage": self.mean_percentage,
-        }
 
 
 def load_graph(path) -> Graph:
@@ -119,16 +104,6 @@ class TorusReport:
     distribution: tuple          # (value, count) histogram, value ascending
     hole_alignment_rate: float   # % of A-nodes mapped onto A-nodes
     total_cost: float
-
-    def to_dict(self) -> dict:
-        return {
-            "class_curvatures": list(self.class_curvatures),
-            "class_sizes": list(self.class_sizes),
-            "row_forms": {k: list(v) for k, v in self.row_forms.items()},
-            "distribution": [list(pair) for pair in self.distribution],
-            "hole_alignment_rate": self.hole_alignment_rate,
-            "total_cost": self.total_cost,
-        }
 
 
 def run_torus_experiment() -> TorusReport:
@@ -198,45 +173,11 @@ def run_ppi_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         g1 = random_walk_sample(universe, cfg.subgraph_size, rng)
         g2 = delete_edges_randomly(g1, cfg.deletion_probability, rng)
         correct, pct = score_alignment(align(g1, g2, mode=mode))
-        results.append(RoundResult(round_index=r, correct=correct, percentage=pct,
+        results.append(RoundResult(round=r, correct=correct, percentage=pct,
                                    seconds=time.perf_counter() - start))
 
     mean = statistics.fmean(res.percentage for res in results)
     return ExperimentReport(per_round=tuple(results), mean_percentage=mean, config=cfg)
-
-
-# -- report emission ----------------------------------------------------------
-
-def check_report_path(path) -> None:
-    """Raise ValueError unless the path's suffix is .json, .csv or .md."""
-    suffix = Path(path).suffix
-    if suffix not in (".json", ".csv", ".md"):
-        raise ValueError(f"unknown report suffix {suffix!r} (use .json, .csv or .md)")
-
-
-def emit_report(report: ExperimentReport, path) -> None:
-    """Write a report in the format its path's suffix selects.
-
-    .json: the config echo, per-round counts and the mean; .csv:
-    `round,correct,percentage` lines; .md: the paper's
-    `Round | Absolute Node Count | Percentage` table and the mean.
-    """
-    check_report_path(path)
-    path = Path(path)
-    if path.suffix == ".json":
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    elif path.suffix == ".csv":
-        lines = ["round,correct,percentage"]
-        lines += [f"{r.round_index},{r.correct},{r.percentage:g}"
-                  for r in report.per_round]
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        lines = ["| Round | Absolute Node Count | Percentage |",
-                 "| --- | --- | --- |"]
-        lines += [f"| {r.round_index} | {r.correct} | {r.percentage:g}% |"
-                  for r in report.per_round]
-        lines.append(f"\nMean percentage: {report.mean_percentage:g}%")
-        path.write_text("\n".join(lines) + "\n")
 
 
 # -- curvature-Laplacian verification -----------------------------------------

@@ -130,7 +130,7 @@ def test_ppi_reproduction(ppi_graphml):
                                mode="rmc")
         report = run_ppi_experiment(cfg)
         for r in report.per_round:
-            print(f"  round {r.round_index}: {r.correct}/500 = {r.percentage:.1f}%")
+            print(f"  round {r.round}: {r.correct}/500 = {r.percentage:.1f}%")
         assert report.mean_percentage >= 80.0
         assert all(70.0 <= r.percentage <= 100.0 for r in report.per_round)
 

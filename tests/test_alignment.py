@@ -19,7 +19,6 @@ from riccialign import (
     hungarian,
     ricci_matrix,
     score_alignment,
-    write_assignment_csv,
 )
 
 from conftest import assignment_minimum, random_connected_graph, traced_peak
@@ -434,28 +433,6 @@ def test_signature_locality_under_added_component(example_graph):
     rows_base = ricci_matrix(base, m).rows
     rows_aug = ricci_matrix(augmented, m).rows
     assert (rows_aug[:n] == rows_base).all()
-
-
-def test_write_assignment_csv(tmp_path):
-    c = np.array([[0.0, 1.0], [1.0, 0.0]])
-    a = hungarian(c)
-    assert a.row_costs == (0.0, 0.0)
-    path = tmp_path / "assignment.csv"
-    write_assignment_csv(a, path)
-    assert path.read_text() == "g1_node,g2_node,row_cost\n0,0,0.0\n1,1,0.0\n"
-    # without row costs there is nothing to write
-    with pytest.raises(GraphError):
-        write_assignment_csv(Assignment(mapping={0: 0}, total_cost=0.0), path)
-
-
-@pytest.mark.parametrize("mapping, row_costs", [
-    ({1: 0}, (0.0,)),
-    ({0: 1, 2: 0}, (0.0, 1.0)),
-], ids=["key-past-the-end", "key-gap"])
-def test_write_assignment_csv_keys_must_be_the_nodes(tmp_path, mapping, row_costs):
-    # the row costs are indexed by node id, so other keys would read the wrong one or none
-    with pytest.raises(GraphError, match="keys"):
-        write_assignment_csv(Assignment(mapping, 0.0, row_costs), tmp_path / "a.csv")
 
 
 def test_row_costs_list_each_pairs_cost():

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from riccialign import Graph, align, common_max_degree, cost_matrix, degree_matrix, \
     from_edge_list, hungarian, ricci_matrix
-from riccialign import cli
+from riccialign import TorusReport, __version__, cli, lift_to_3d, triangular_ring_2d
 from riccialign.alignment import MODES
 from riccialign.cli import main
 from riccialign.experiments import ExperimentConfig
@@ -23,6 +24,150 @@ def test_torus_command(capsys, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["class_sizes"] == [12, 12, 12]
     assert hist.read_text().splitlines()[1:] == ["-56,12", "-40,12", "-28,12"]
+
+
+
+def test_torus_command_writes_the_histogram_csv(capsys, tmp_path):
+    hist = tmp_path / "hist.csv"
+    assert main(["torus", "--histogram", str(hist)]) == 0
+    assert hist.read_text() == "value,count\n-56,12\n-40,12\n-28,12\n"
+    assert f"histogram written to {hist}\n" in capsys.readouterr().out
+
+
+def test_torus_json_is_the_report_as_a_dict(capsys, tmp_path):
+    out = tmp_path / "torus.json"
+    assert main(["torus", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload) == [f.name for f in dataclasses.fields(TorusReport)]
+    assert payload["class_sizes"] == [12, 12, 12]
+    assert payload["row_forms"]["A"] == [-56, -56, -56, -40, -40, -28]
+    assert payload["distribution"] == [[-56, 12], [-40, 12], [-28, 12]]
+
+TORUS_JSON = """\
+{
+  "class_curvatures": [
+    -56,
+    -40,
+    -28
+  ],
+  "class_sizes": [
+    12,
+    12,
+    12
+  ],
+  "row_forms": {
+    "A": [
+      -56,
+      -56,
+      -56,
+      -40,
+      -40,
+      -28
+    ],
+    "B": [
+      -56,
+      -56,
+      -40,
+      -28,
+      -28,
+      0
+    ],
+    "C": [
+      -56,
+      -40,
+      -40,
+      -28,
+      0,
+      0
+    ]
+  },
+  "distribution": [
+    [
+      -56,
+      12
+    ],
+    [
+      -40,
+      12
+    ],
+    [
+      -28,
+      12
+    ]
+  ],
+  "hole_alignment_rate": 100.0,
+  "total_cost": 0.0
+}
+"""
+
+PPI_JSON = """\
+{
+  "config": {
+    "input_path": "torus.edges",
+    "intermediate_sample_size": 36,
+    "subgraph_size": 20,
+    "deletion_probability": 0.05,
+    "rounds": 3,
+    "seed": 0,
+    "mode": "rmc"
+  },
+  "version": "%s",
+  "rounds": [
+    {
+      "round": 1,
+      "correct": 15,
+      "percentage": 75.0,
+      "seconds": 0.0
+    },
+    {
+      "round": 2,
+      "correct": 18,
+      "percentage": 90.0,
+      "seconds": 0.0
+    },
+    {
+      "round": 3,
+      "correct": 11,
+      "percentage": 55.0,
+      "seconds": 0.0
+    }
+  ],
+  "mean_percentage": 73.33333333333333
+}
+""" % __version__
+
+PPI_CSV = "round,correct,percentage\n1,15,75\n2,18,90\n3,11,55\n"
+
+PPI_MD = """\
+| Round | Absolute Node Count | Percentage |
+| --- | --- | --- |
+| 1 | 15 | 75% |
+| 2 | 18 | 90% |
+| 3 | 11 | 55% |
+
+Mean percentage: 73.3333%
+"""
+
+
+def test_output_files_keep_their_bytes(capsys, tmp_path, monkeypatch):
+    # every file the CLI writes, byte for byte; a round's seconds are zeroed
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(lift_to_3d(triangular_ring_2d()), "torus.edges")
+    assert main(["torus", "--out", "x.json", "--histogram", "h.csv"]) == 0
+    assert (tmp_path / "x.json").read_text() == TORUS_JSON
+    assert (tmp_path / "h.csv").read_text() == "value,count\n-56,12\n-40,12\n-28,12\n"
+
+    ppi = ["ppi", "--input", "torus.edges", "--intermediate", "36", "--size", "20",
+           "--rounds", "3", "--p", "0.05", "--out"]
+    for name, expected in [("r.json", PPI_JSON), ("r.csv", PPI_CSV), ("r.md", PPI_MD)]:
+        assert main([*ppi, name]) == 0
+        text = (tmp_path / name).read_text()
+        assert re.sub(r'"seconds": [-+.e0-9]+', '"seconds": 0.0', text) == expected
+
+    assert main(["align", "--mode", "rmc", "--g1", "torus.edges", "--g2", "torus.edges",
+                 "--out", "a.csv"]) == 0
+    assert (tmp_path / "a.csv").read_text() == \
+        "g1_node,g2_node,row_cost\n" + "".join(f"{v},{v},0.0\n" for v in range(36))
 
 
 def test_verify_cle_command(capsys):
@@ -57,6 +202,22 @@ def test_align_command(capsys, tmp_path):
     assert lines[0] == "g1_node,g2_node,row_cost"
     assert len(lines) == 5
     assert "fixed points: 4 (100%)" in capsys.readouterr().out
+
+
+def test_align_command_writes_one_line_per_g1_node(capsys, tmp_path):
+    # line v: node v of G1, its partner in G2 and the cost of that pair
+    g1 = from_edge_list([(0, 1), (1, 2), (2, 3)])
+    g2 = from_edge_list([(0, 1), (0, 2), (0, 3)])
+    paths = tmp_path / "g1.edges", tmp_path / "g2.edges"
+    write_edge_list(g1, paths[0])
+    write_edge_list(g2, paths[1])
+    out = tmp_path / "assignment.csv"
+    assert main(["align", "--mode", "dmc", "--g1", str(paths[0]), "--g2", str(paths[1]),
+                 "--out", str(out)]) == 0
+    a = align(g1, g2, "degree")
+    assert len(set(a.row_costs)) > 1
+    assert out.read_text() == "g1_node,g2_node,row_cost\n" + "".join(
+        f"{v},{a.mapping[v]},{a.row_costs[v]}\n" for v in range(4))
 
 
 @pytest.mark.parametrize("mode", ["rmc", "dmc"])
@@ -136,6 +297,59 @@ def test_ppi_command_with_flags(capsys, tmp_path, tiny_graphml):
     assert payload["config"]["seed"] == 3
     assert len(payload["rounds"]) == 2
     assert "mean percentage" in capsys.readouterr().out
+
+
+@pytest.fixture
+def torus_edges(tmp_path, lifted_torus):
+    path = tmp_path / "torus.edges"
+    write_edge_list(lifted_torus, path)
+    return path
+
+
+def test_ppi_command_report_formats(capsys, tmp_path, torus_edges):
+    # the .json, .csv and .md reports list the rounds that the run prints
+    run = ["ppi", "--input", str(torus_edges), "--intermediate", "36", "--size", "20",
+           "--rounds", "2", "--p", "0.05", "--seed", "11", "--out"]
+    assert main([*run, str(tmp_path / "r.json")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert payload["config"]["seed"] == 11
+    assert payload["version"] == __version__
+    rounds = [(r["round"], r["correct"], r["percentage"]) for r in payload["rounds"]]
+    assert [line.split(" in ")[0] for line in printed[:2]] == \
+        [f"round {i}: {c} correct ({p:g}%)" for i, c, p in rounds]
+    assert printed[2] == f"mean percentage: {payload['mean_percentage']:g}%"
+
+    assert main([*run, str(tmp_path / "r.csv")]) == 0
+    assert (tmp_path / "r.csv").read_text().splitlines() == \
+        ["round,correct,percentage", *(f"{i},{c},{p:g}" for i, c, p in rounds)]
+
+    assert main([*run, str(tmp_path / "r.md")]) == 0
+    lines = (tmp_path / "r.md").read_text().splitlines()
+    assert lines[:2] == ["| Round | Absolute Node Count | Percentage |", "| --- | --- | --- |"]
+    assert lines[2:] == [*(f"| {i} | {c} | {p:g}% |" for i, c, p in rounds), "",
+                         f"Mean percentage: {payload['mean_percentage']:g}%"]
+
+    for bad in ("r.xml", "r.markdown", "r"):
+        assert main([*run, str(tmp_path / bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown report suffix ")
+        assert not (tmp_path / bad).exists()
+
+
+def test_ppi_json_report_echoes_the_whole_config(capsys, tmp_path, torus_edges):
+    out = tmp_path / "r.json"
+    assert main(["ppi", "--input", str(torus_edges), "--intermediate", "36", "--size", "18",
+                 "--p", "0.02", "--rounds", "2", "--seed", "9", "--mode", "dmc",
+                 "--out", str(out)]) == 0
+    assert list(json.loads(out.read_text())["config"].items()) == [
+        ("input_path", str(torus_edges)),
+        ("intermediate_sample_size", 36),
+        ("subgraph_size", 18),
+        ("deletion_probability", 0.02),
+        ("rounds", 2),
+        ("seed", 9),
+        ("mode", "dmc"),
+    ]
 
 
 def test_ppi_command_config_file_with_flag_override(capsys, tmp_path, tiny_graphml):
@@ -275,14 +489,28 @@ def test_ppi_command_checks_the_report_suffix_before_loading(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: unknown report suffix '.txt'")
 
 
-@pytest.mark.parametrize("out", ["", "missing/report.json"], ids=["directory", "no-parent"])
+@pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/report.json", ""],
+                         ids=["directory", "no-parent", "empty"])
 def test_ppi_command_checks_the_output_path_before_any_round(capsys, tmp_path, tiny_graphml, out):
     assert main(["ppi", "--input", str(tiny_graphml), "--rounds", "2", "--size", "50",
-                 "--intermediate", "100", "--out", str(tmp_path / out)]) == 2
+                 "--intermediate", "100", "--out", out.format(tmp=tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "round" not in captured.out
     assert captured.err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "--out", ""],
+    ["torus", "--histogram", ""],
+    ["align", "--mode", "rmc", "--g1", "missing.edges", "--g2", "missing.edges", "--out", ""],
+], ids=["torus-out", "torus-histogram", "align-out"])
+def test_an_empty_output_path_fails_before_any_work(capsys, argv):
+    # a missing input would fail with another message if it were read first
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: an output path must not be empty\n"
+    assert captured.out == ""
 
 
 def test_ppi_command_output_check_keeps_an_existing_file(capsys, tmp_path, tiny_graphml):

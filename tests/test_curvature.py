@@ -5,7 +5,6 @@ from riccialign import (
     edge_curvatures,
     from_edge_list,
     node_curvatures,
-    write_distribution_csv,
 )
 
 from conftest import random_graph, random_connected_graph
@@ -76,9 +75,3 @@ def test_distribution_torus_class_gaps(lifted_torus):
 def test_distribution_small_graphs():
     assert curvature_distribution(from_edge_list(K3)) == [(-4, 3)]
     assert curvature_distribution(from_edge_list(P3)) == [(-2, 1), (-1, 2)]
-
-
-def test_distribution_csv(tmp_path):
-    path = tmp_path / "hist.csv"
-    write_distribution_csv(curvature_distribution(from_edge_list(P3)), path)
-    assert path.read_text() == "value,count\n-2,1\n-1,2\n"

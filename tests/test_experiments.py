@@ -1,8 +1,8 @@
-import json
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -11,10 +11,8 @@ import riccialign
 from riccialign import (
     ExperimentConfig,
     ExperimentError,
-    ExperimentReport,
     GraphError,
     RngHandle,
-    emit_report,
     lift_to_3d,
     line_graph,
     random_walk_sample,
@@ -23,7 +21,7 @@ from riccialign import (
     run_torus_experiment,
     triangular_ring_2d,
 )
-from riccialign.experiments import RoundResult, load_graph, random_connected_graph
+from riccialign.experiments import load_graph, random_connected_graph
 
 from conftest import is_connected, preferential_attachment_graph, write_edge_list, write_graphml
 
@@ -58,18 +56,12 @@ def test_torus_experiment_builds_no_cost_matrix(monkeypatch):
         monkeypatch.setattr(module, "cost_matrix", unexpected, raising=False)
         monkeypatch.setattr(module, "hungarian", unexpected, raising=False)
     report = run_torus_experiment()
-    assert report.to_dict() == expected.to_dict()
+    assert asdict(report) == asdict(expected)
     assert report.class_curvatures == (-56, -40, -28)
     assert report.row_forms["A"] == (-56, -56, -56, -40, -40, -28)
     assert report.distribution == ((-56, 12), (-40, 12), (-28, 12))
     assert report.hole_alignment_rate == 100.0
     assert report.total_cost == 0.0
-
-
-def test_torus_report_serializes():
-    payload = run_torus_experiment().to_dict()
-    assert payload["class_sizes"] == [12, 12, 12]
-    assert json.dumps(payload)
 
 
 def test_random_connected_graph_is_connected_and_seeded():
@@ -164,7 +156,7 @@ def test_ppi_experiment_shape_and_bounds(small_network):
     report = run_ppi_experiment(_small_config(small_network))
     assert len(report.per_round) == 3
     for i, r in enumerate(report.per_round, start=1):
-        assert r.round_index == i
+        assert r.round == i
         assert 0 <= r.correct <= 60
         assert r.percentage == 100.0 * r.correct / 60
         assert r.seconds >= 0
@@ -258,52 +250,3 @@ def test_ppi_experiment_rejects_thin_line_graph(tmp_path):
                            subgraph_size=50, rounds=1, seed=0)
     with pytest.raises(ExperimentError):
         run_ppi_experiment(cfg)
-
-
-def test_emit_report_formats(tmp_path):
-    cfg = ExperimentConfig(input_path="combined_ppi.graphml", seed=11)
-    report = ExperimentReport(
-        per_round=(RoundResult(1, 416, 83.2, 0.5),
-                   RoundResult(2, 445, 89.0, 0.4)),
-        mean_percentage=86.1,
-        config=cfg,
-    )
-    csv_path = tmp_path / "r.csv"
-    emit_report(report, csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "round,correct,percentage"
-    assert lines[1] == "1,416,83.2"
-
-    md_path = tmp_path / "r.md"
-    emit_report(report, md_path)
-    text = md_path.read_text()
-    assert "Round | Absolute Node Count | Percentage" in text
-    assert "| 1 | 416 | 83.2% |" in text
-
-    json_path = tmp_path / "r.json"
-    emit_report(report, json_path)
-    payload = json.loads(json_path.read_text())
-    assert payload["config"]["seed"] == 11
-    assert payload["rounds"][0]["correct"] == 416
-    assert payload["mean_percentage"] == 86.1
-
-    for bad in ("r.xml", "r.markdown", "r"):
-        with pytest.raises(ValueError, match="unknown report suffix"):
-            emit_report(report, tmp_path / bad)
-        assert not (tmp_path / bad).exists()
-
-
-def test_report_echoes_the_whole_config():
-    cfg = ExperimentConfig(input_path=Path("nets") / "ppi.graphml",
-                           intermediate_sample_size=800, subgraph_size=400,
-                           deletion_probability=0.02, rounds=4, seed=9, mode="dmc")
-    report = ExperimentReport(per_round=(), mean_percentage=0.0, config=cfg)
-    assert list(report.to_dict()["config"].items()) == [
-        ("input_path", str(Path("nets") / "ppi.graphml")),
-        ("intermediate_sample_size", 800),
-        ("subgraph_size", 400),
-        ("deletion_probability", 0.02),
-        ("rounds", 4),
-        ("seed", 9),
-        ("mode", "dmc"),
-    ]
