@@ -8,7 +8,9 @@ node curvatures, which are exact integers. Row v belongs to node v; rows
 are compared by Euclidean distance and matched with an exact minimum-cost
 assignment solver. When both graphs have the same multiset of rows (G2 an
 unchanged or relabelled copy of G1), `align()` reads a zero-cost optimum off
-the sorted rows instead, without building the cost matrix.
+the rows instead, without building the cost matrix: a 64-bit row hash
+proposes the pairing and the sorted CSR values check it exactly; only after
+a hash collision do the dense rows' void keys decide.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, GraphError
-from .curvature import node_curvature_array
+from .curvature import _row_sums, node_curvature_array
 
 
 # The paper's method names (the `rmc` flags and the PPI config's `mode`) and
@@ -66,9 +68,8 @@ def common_max_degree(g1: Graph, g2: Graph) -> int:
     return max(g1.max_degree(), g2.max_degree())
 
 
-def _signature_rows(g: Graph, m: int, features) -> np.ndarray:
-    if m < g.max_degree():
-        raise GraphError(f"width {m} is below the maximum degree {g.max_degree()}")
+def _sorted_values(g: Graph, features) -> np.ndarray:
+    """The features of g's CSR entries, int64, with each row's run sorted."""
     n, deg = g.num_nodes, g.degrees
     vals = np.asarray(features, dtype=np.int64)[g.indices]
     low = int(vals.min(initial=0))
@@ -85,11 +86,23 @@ def _signature_rows(g: Graph, m: int, features) -> np.ndarray:
     keys.sort()
     keys -= base
     np.add(keys, low, out=vals, dtype=np.int64)
+    return vals
+
+
+def _fill_rows(g: Graph, m: int, vals: np.ndarray) -> np.ndarray:
+    """The n x m rows of g's sorted CSR values, zero-padded on the right."""
+    n, deg = g.num_nodes, g.degrees
     # CSR entry i goes to slot i - indptr[owner] of its owner's row
     flat = np.arange(len(vals)) + np.repeat(np.arange(n) * m - g.indptr[:-1], deg)
     rows = np.zeros((n, m), dtype=np.int64)
     rows.reshape(-1)[flat] = vals
     return rows
+
+
+def _signature_rows(g: Graph, m: int, features) -> np.ndarray:
+    if m < g.max_degree():
+        raise GraphError(f"width {m} is below the maximum degree {g.max_degree()}")
+    return _fill_rows(g, m, _sorted_values(g, features))
 
 
 def degree_matrix(g: Graph, m: int) -> SignatureMatrix:
@@ -182,6 +195,11 @@ def hungarian(cost) -> Assignment:
                       row_costs=tuple(row_costs))
 
 
+def _zero_cost(dst: np.ndarray) -> Assignment:
+    return Assignment(mapping=dict(enumerate(dst.tolist())), total_cost=0.0,
+                      row_costs=(0.0,) * len(dst))
+
+
 def _equal_rows_assignment(rows1: np.ndarray, rows2: np.ndarray) -> Assignment | None:
     """The zero-cost assignment when both row sets are one multiset, else None.
 
@@ -192,23 +210,45 @@ def _equal_rows_assignment(rows1: np.ndarray, rows2: np.ndarray) -> Assignment |
     """
     n, m = rows1.shape
     if m == 0:  # a void view of size 0 drops the rows; empty rows are all equal
-        dst = np.arange(n)
-    else:
-        a = np.ascontiguousarray(rows1, dtype=np.int64)
-        b = np.ascontiguousarray(rows2, dtype=np.int64)
-        # equal multisets have equal sums (mod 2^64): a cheap early no
-        if a.sum() != b.sum():
-            return None
-        key = np.dtype((np.void, 8 * m))
-        dst = np.empty(n, dtype=np.int64)
-        dst[np.argsort(a.view(key).ravel(), kind="stable")] = \
-            np.argsort(b.view(key).ravel(), kind="stable")
-        # the zero-cost property itself, every row equal to its image's row;
-        # int64 rows compare far faster than their void keys
-        if not np.array_equal(a, b[dst]):
-            return None
-    return Assignment(mapping=dict(enumerate(dst.tolist())), total_cost=0.0,
-                      row_costs=(0.0,) * n)
+        return _zero_cost(np.arange(n))
+    a = np.ascontiguousarray(rows1, dtype=np.int64)
+    b = np.ascontiguousarray(rows2, dtype=np.int64)
+    key = np.dtype((np.void, 8 * m))
+    dst = np.empty(n, dtype=np.int64)
+    dst[np.argsort(a.view(key).ravel(), kind="stable")] = \
+        np.argsort(b.view(key).ravel(), kind="stable")
+    # the zero-cost property itself, every row equal to its image's row;
+    # int64 rows compare far faster than their void keys
+    return _zero_cost(dst) if np.array_equal(a, b[dst]) else None
+
+
+def _mix(values: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer of int64 values, in uint64; it maps 0 to 0."""
+    z = np.ascontiguousarray(values, dtype=np.int64).view(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _hash_pairing(g1: Graph, f1: np.ndarray, g2: Graph, f2: np.ndarray) -> np.ndarray | None:
+    """g1 -> g2 node ids pairing rows in stable row-hash order, or None when
+    the row multisets differ for certain.
+
+    Row v's hash is the uint64 sum of `_mix` over its values. `_mix(0)` is 0,
+    so a zero value adds what the zero padding adds, nothing: equal rows hash
+    equally, and unequal sorted hash lists prove unequal row multisets. Equal
+    lists prove nothing; the caller checks the pairing.
+    """
+    # equal row multisets have equal sums of deg * f (mod 2^64): a cheap early no
+    if np.dot(g1.degrees, f1) != np.dot(g2.degrees, f2):
+        return None
+    h1, h2 = _row_sums(g1, _mix(f1)), _row_sums(g2, _mix(f2))
+    o1, o2 = np.argsort(h1, kind="stable"), np.argsort(h2, kind="stable")
+    if not np.array_equal(h1[o1], h2[o2]):
+        return None
+    dst = np.empty(len(o1), dtype=np.int64)
+    dst[o1] = o2
+    return dst
 
 
 def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
@@ -216,10 +256,17 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
 
     The graphs must have the same node count; the returned mapping sends
     g1 node ids to g2 node ids. When the two row sets are the same multiset
-    the optimum (cost exactly 0.0) is read off the sorted rows, pairing ids
-    of equal rows in ascending order, so `align(g, g)` is the identity.
-    Otherwise it is `hungarian(cost_matrix(sig1, sig2))` on both signature
-    matrices at the common maximum degree, mapping and total bit for bit.
+    the optimum (cost exactly 0.0) pairs the ids of equal rows in ascending
+    order, so `align(g, g)` is the identity. Otherwise it is
+    `hungarian(cost_matrix(sig1, sig2))` on both signature matrices at the
+    common maximum degree, mapping and total bit for bit.
+
+    The equal-multiset test reads the CSR values, not dense rows: a row hash
+    proposes the pairing, which stands if every node has its image's degree
+    and sorted values; hash groups keep ascending ids, so it is then the
+    ascending-id pairing. When the hashes agree but the check fails (a
+    collision, or rows equal only once zero-padded), the dense rows' void
+    keys decide. The result never depends on the hash.
     """
     if g1.num_nodes != g2.num_nodes:
         raise GraphError(
@@ -227,9 +274,17 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
     if mode not in ("degree", "ricci"):
         raise GraphError(f"mode must be 'degree' or 'ricci', got {mode!r}")
     m = common_max_degree(g1, g2)
-    build = degree_matrix if mode == "degree" else ricci_matrix
-    sig1, sig2 = build(g1, m), build(g2, m)
-    return _equal_rows_assignment(sig1.rows, sig2.rows) or hungarian(cost_matrix(sig1, sig2))
+    f1, f2 = (g1.degrees, g2.degrees) if mode == "degree" else \
+        (node_curvature_array(g1), node_curvature_array(g2))
+    vals1, vals2 = _sorted_values(g1, f1), _sorted_values(g2, f2)
+    dst = _hash_pairing(g1, f1, g2, f2)
+    if dst is not None and np.array_equal(g1.degrees, g2.degrees[dst]) \
+            and np.array_equal(vals1, vals2[g2._row_slots(dst)[0]]):
+        return _zero_cost(dst)
+    sig1 = SignatureMatrix(rows=_fill_rows(g1, m, vals1), mode=mode)
+    sig2 = SignatureMatrix(rows=_fill_rows(g2, m, vals2), mode=mode)
+    equal = None if dst is None else _equal_rows_assignment(sig1.rows, sig2.rows)
+    return equal or hungarian(cost_matrix(sig1, sig2))
 
 
 def score_alignment(a: Assignment) -> tuple[int, float]:

@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     torus = sub.add_parser("torus", help="torus hole-identification experiment")
     torus.add_argument("--out", help="write the report as JSON to this .json path")
-    torus.add_argument("--histogram", help="write the curvature histogram CSV here")
+    torus.add_argument("--histogram", help="write the curvature histogram to this .csv path")
 
     ppi = sub.add_parser("ppi", help="sampled line-graph alignment experiment",
                          fromfile_prefix_chars="@")
@@ -63,19 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
     al.add_argument("--mode", choices=tuple(MODES), required=True)
     al.add_argument("--g1", required=True)
     al.add_argument("--g2", required=True)
-    al.add_argument("--out", required=True, help="assignment CSV output path")
+    al.add_argument("--out", required=True, help="write the assignment to this .csv path")
     return parser
 
 
-def _check_out(path, suffixes=()) -> None:
+def _check_out(path, suffixes) -> None:
     """Fail before any work, not after it, on an output path that is empty,
-    has a suffix outside `suffixes` (when given) or cannot be written."""
+    has a suffix outside `suffixes` or cannot be written."""
     if path is None:
         return
     if not path:
         raise ValueError("an output path must not be empty")
     suffix = Path(path).suffix
-    if suffixes and suffix not in suffixes:
+    if suffix not in suffixes:
         *rest, last = suffixes
         use = f"{', '.join(rest)} or {last}" if rest else last
         raise ValueError(f"unknown report suffix {suffix!r} (use {use})")
@@ -95,7 +95,7 @@ def _write_lines(path, header, lines) -> None:
 
 def _cmd_torus(args) -> int:
     _check_out(args.out, (".json",))
-    _check_out(args.histogram)
+    _check_out(args.histogram, (".csv",))
     report = run_torus_experiment()
     labels = ("A", "B", "C")
     print("lifted triangular torus: 36 nodes, 90 edges")
@@ -157,7 +157,7 @@ def _cmd_verify_cle(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, (".csv",))
     g1 = load_graph(args.g1)
     g2 = load_graph(args.g2)
     result = align(g1, g2, MODES[args.mode])

@@ -26,9 +26,11 @@ def edge_curvatures(g: Graph) -> np.ndarray:
     return 2 - g.degrees[u] - g.degrees[v]
 
 
-def _neighbour_degree_sums(g: Graph) -> np.ndarray:
-    """int64 sum of every node's neighbours' degrees: one prefix sum over the CSR rows."""
-    prefix = np.concatenate(([0], np.cumsum(g.degrees[g.indices])))
+def _row_sums(g: Graph, values: np.ndarray) -> np.ndarray:
+    """Every node's sum of `values` over its neighbours, in the dtype of `values`
+    (integer sums wrap as it does): one prefix sum over the CSR rows."""
+    prefix = np.zeros(len(g.indices) + 1, dtype=values.dtype)
+    np.cumsum(values[g.indices], out=prefix[1:])
     return prefix[g.indptr[1:]] - prefix[g.indptr[:-1]]
 
 
@@ -40,7 +42,7 @@ def node_curvature_array(g: Graph) -> np.ndarray:
     arrays alone.
     """
     deg = g.degrees
-    return deg * (2 - deg) - _neighbour_degree_sums(g)
+    return deg * (2 - deg) - _row_sums(g, deg)
 
 
 def node_curvatures(g: Graph) -> list:
@@ -60,7 +62,7 @@ def curvature_laplacian_residuals(g: Graph) -> np.ndarray:
     ric = np.zeros(g.num_nodes, dtype=np.int64)
     np.add.at(ric, g.edge_array.ravel(), np.repeat(edge_curvatures(g), 2))
     deg = g.degrees
-    return ric - (deg * deg - _neighbour_degree_sums(g))
+    return ric - (deg * deg - _row_sums(g, deg))
 
 
 def curvature_laplacian_holds(g: Graph) -> bool:

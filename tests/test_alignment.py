@@ -346,6 +346,8 @@ def test_align_equal_row_multisets_skip_the_cost_matrix_and_solver(monkeypatch):
 
     monkeypatch.setattr(alignment, "cost_matrix", unexpected)
     monkeypatch.setattr(alignment, "hungarian", unexpected)
+    # the hash pairing is checked on the CSR values: no dense row is built
+    monkeypatch.setattr(alignment, "_fill_rows", unexpected)
     g = random_connected_graph(60, seed=3)
     for mode in ("degree", "ricci"):
         assert align(g, relabelled(g, 0), mode=mode).total_cost == 0.0
@@ -394,6 +396,87 @@ def test_align_falls_back_to_hungarian_when_multisets_differ():
             assert result.mapping == solved.mapping
             assert result.total_cost.hex() == solved.total_cost.hex()
             assert result.total_cost > 0.0
+
+
+def test_align_reaches_the_solver_when_sums_match_but_rows_differ(monkeypatch):
+    import riccialign.alignment as alignment
+
+    # K3 plus an isolated node against the claw: equal sums of deg * f in
+    # both modes (12 and -24), unequal rows
+    k3, claw = Graph(4, K3), from_edge_list(CLAW)
+    calls = []
+    monkeypatch.setattr(alignment, "hungarian", lambda c: calls.append(c) or hungarian(c))
+    for mode in ("degree", "ricci"):
+        build = degree_matrix if mode == "degree" else ricci_matrix
+        sig1, sig2 = build(k3, 3), build(claw, 3)
+        assert sig1.rows.sum() == sig2.rows.sum()
+        solved = hungarian(cost_matrix(sig1, sig2))
+        result = align(k3, claw, mode=mode)
+        assert result.mapping == solved.mapping
+        assert result.row_costs == solved.row_costs and result.total_cost > 0.0
+    assert len(calls) == 2
+
+
+def test_align_does_not_depend_on_the_row_hash(monkeypatch):
+    import riccialign.alignment as alignment
+    from riccialign.alignment import _equal_rows_assignment
+
+    # every row hashes to 0: the hash proposes the id order, the check
+    # rejects it, and the void keys of the dense rows decide
+    monkeypatch.setattr(alignment, "_mix", lambda f: np.zeros(len(f), dtype=np.uint64))
+    fallbacks = []
+    monkeypatch.setattr(alignment, "_equal_rows_assignment",
+                        lambda a, b: fallbacks.append(1) or _equal_rows_assignment(a, b))
+    g = random_connected_graph(60, seed=3)
+    h = relabelled(g, 0)
+    for mode in ("degree", "ricci"):
+        build = degree_matrix if mode == "degree" else ricci_matrix
+        m = common_max_degree(g, h)
+        expected = _equal_rows_assignment(build(g, m).rows, build(h, m).rows)
+        result = align(g, h, mode=mode)
+        assert result.mapping == expected.mapping
+        assert result.total_cost.hex() == expected.total_cost.hex()
+        assert result.row_costs == expected.row_costs
+        solved = hungarian(cost_matrix(build(Graph(4, K3), 3), build(from_edge_list(CLAW), 3)))
+        assert align(Graph(4, K3), from_edge_list(CLAW), mode=mode).mapping == solved.mapping
+    assert len(fallbacks) == 4
+
+
+def test_align_pairs_rows_that_are_equal_once_zero_padded():
+    # a K2 node's row [0] (its neighbour's curvature) equals an isolated
+    # node's padding: the degrees differ, so the void keys decide, and they
+    # pair the three equal rows in ascending id order
+    g, h = Graph(3, [(0, 1)]), Graph(3, [(1, 2)])
+    assert ricci_matrix(g, 1).rows.tolist() == ricci_matrix(h, 1).rows.tolist() == [[0]] * 3
+    assert align(g, h) == Assignment(mapping={0: 0, 1: 1, 2: 2}, total_cost=0.0)
+    assert align(g, h, mode="degree").mapping == {0: 1, 1: 2, 2: 0}
+
+
+def test_row_hashes_are_uint64_splitmix64_sums():
+    from riccialign.alignment import _mix
+    from riccialign.curvature import _row_sums
+
+    def splitmix64_finalizer(x):
+        x %= 2 ** 64
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB % 2 ** 64
+        return x ^ (x >> 31)
+
+    values = [0, 1, -1, 7, -56, 2 ** 63 - 1, -2 ** 63, 0x9E3779B97F4A7C15 - 2 ** 64]
+    mixed = _mix(np.array(values, dtype=np.int64))
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [splitmix64_finalizer(x) for x in values]
+    assert mixed.tolist()[::7] == [0, 0xE220A8397B1DCDAF]  # splitmix64's first draw from 0
+    # row sums wrap mod 2^64 and stay uint64
+    g = random_connected_graph(30, seed=4)
+    per_node = _mix(np.arange(-15, 15, dtype=np.int64) * 2 ** 58)
+    sums = _row_sums(g, per_node)
+    assert sums.dtype == np.uint64
+    adj = [[] for _ in g.nodes]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    assert sums.tolist() == [sum(int(per_node[u]) for u in a) % 2 ** 64 for a in adj]
 
 
 def test_align_peak_memory_on_equal_multisets_is_below_the_cost_matrix():

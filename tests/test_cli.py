@@ -453,6 +453,32 @@ def test_torus_command_rejects_a_non_json_out_before_the_run(capsys, tmp_path, n
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["h.json", "h"], ids=["json", "no-suffix"])
+def test_torus_command_rejects_a_non_csv_histogram_before_the_run(capsys, tmp_path, name):
+    assert main(["torus", "--histogram", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown report suffix {name[1:]!r} (use .csv)\n"
+    assert "class A" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["a.json", "a"], ids=["json", "no-suffix"])
+def test_align_command_rejects_a_non_csv_out_before_aligning(capsys, tmp_path, monkeypatch,
+                                                             name):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a non-.csv --out must fail before the alignment")
+
+    monkeypatch.setattr(cli, "align", unexpected)
+    g = tmp_path / "g.edges"
+    write_edge_list(from_edge_list([(0, 1)]), g)
+    assert main(["align", "--mode", "rmc", "--g1", str(g), "--g2", str(g),
+                 "--out", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown report suffix {name[1:]!r} (use .csv)\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [g]
+
+
 def test_torus_command_checks_both_output_paths_before_the_run(capsys, tmp_path):
     out = tmp_path / "torus.json"
     assert main(["torus", "--out", str(out),

@@ -3,10 +3,12 @@
 Each reference is the plain loop over tuples and sets that the vectorised
 code replaces. The integer results must agree exactly, and the seeded
 sampling functions must make the same draws. `align()` is checked against
-`hungarian`, against what a zero-cost optimum must satisfy, and for a total
-cost that does not depend on G2's node ids.
+`hungarian`, against the dense rows' void-key pairing on relabelled copies,
+against what a zero-cost optimum must satisfy, and for a total cost that
+does not depend on G2's node ids.
 """
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -25,13 +27,15 @@ from riccialign import (
     delete_edges_randomly,
     edge_curvatures,
     hungarian,
+    lift_to_3d,
     line_graph,
     linegraph,
     node_curvatures,
     random_walk_sample,
     ricci_matrix,
+    triangular_ring_2d,
 )
-from riccialign.alignment import _signature_rows
+from riccialign.alignment import _equal_rows_assignment, _signature_rows
 
 from conftest import dense_laplacian, edge_pair_count, labeled_signature_vector
 
@@ -375,6 +379,41 @@ def test_align_graph_with_itself_is_the_identity(data, mode):
     n, pairs = data
     g = Graph(n, pairs)
     assert align(g, g, mode=mode).mapping == {v: v for v in range(n)}
+
+
+@st.composite
+def equal_multiset_graphs(draw):
+    """Random graphs, the lifted torus, cycles, circulant regular graphs,
+    edgeless graphs and the empty graph."""
+    kind = draw(st.sampled_from(["random", "torus", "cycle", "regular", "edgeless", "empty"]))
+    if kind == "random":
+        return Graph(*draw(edge_lists()))
+    if kind == "torus":
+        return lift_to_3d(triangular_ring_2d())
+    if kind == "cycle":
+        n = draw(st.integers(3, 12))
+        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    if kind == "regular":  # node i joined to i +- 1..k: 2k-regular
+        n = draw(st.integers(5, 14))
+        k = draw(st.integers(1, (n - 1) // 2))
+        return Graph(n, [(i, (i + j) % n) for i in range(n) for j in range(1, k + 1)])
+    return Graph(draw(st.integers(1, 8)) if kind == "edgeless" else 0, [])
+
+
+@property_test
+@given(equal_multiset_graphs(), st.randoms(use_true_random=False), MODES)
+@example(Graph(5, [(0, 1), (2, 3)]), random.Random(1), "ricci")
+def test_align_on_a_relabelling_is_the_dense_void_key_pairing(g, rnd, mode):
+    n = g.num_nodes
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    m = g.max_degree()
+    expected = _equal_rows_assignment(signature_rows(g, m, mode), signature_rows(h, m, mode))
+    result = align(g, h, mode=mode)
+    assert result.mapping == expected.mapping
+    assert result.total_cost.hex() == expected.total_cost.hex() == (0.0).hex()
+    assert result.row_costs == expected.row_costs
 
 
 @property_test
