@@ -42,8 +42,10 @@ from .experiments import (
     ExperimentError,
     ExperimentReport,
     TorusReport,
+    build_universe,
     run_cle_verification,
     run_ppi_experiment,
+    run_round,
     run_torus_experiment,
 )
 
@@ -60,6 +62,6 @@ __all__ = [
     "ricci_matrix", "cost_matrix", "hungarian", "align",
     "score_alignment",
     "ExperimentConfig", "ExperimentReport", "ExperimentError", "TorusReport",
-    "run_torus_experiment", "run_ppi_experiment",
+    "run_torus_experiment", "build_universe", "run_round", "run_ppi_experiment",
     "run_cle_verification",
 ]

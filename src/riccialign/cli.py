@@ -67,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(path, suffixes) -> None:
-    """Fail before any work, not after it, on an output path that is empty,
-    has a suffix outside `suffixes` or cannot be written."""
+def _check_out(flag, path, suffixes) -> None:
+    """Fail before any work, not after it, on the output path of option `flag`
+    if it is empty, has a suffix outside `suffixes` or cannot be written."""
     if path is None:
         return
     if not path:
@@ -78,7 +78,7 @@ def _check_out(path, suffixes) -> None:
     if suffix not in suffixes:
         *rest, last = suffixes
         use = f"{', '.join(rest)} or {last}" if rest else last
-        raise ValueError(f"unknown report suffix {suffix!r} (use {use})")
+        raise ValueError(f"{flag}: unknown suffix {suffix!r} (use {use})")
     existed = Path(path).exists()
     Path(path).open("a").close()
     if not existed:
@@ -94,8 +94,8 @@ def _write_lines(path, header, lines) -> None:
 
 
 def _cmd_torus(args) -> int:
-    _check_out(args.out, (".json",))
-    _check_out(args.histogram, (".csv",))
+    _check_out("--out", args.out, (".json",))
+    _check_out("--histogram", args.histogram, (".csv",))
     report = run_torus_experiment()
     labels = ("A", "B", "C")
     print("lifted triangular torus: 36 nodes, 90 edges")
@@ -117,7 +117,7 @@ def _cmd_torus(args) -> int:
 def _cmd_ppi(args) -> int:
     cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
                               for f in dataclasses.fields(ExperimentConfig)})
-    _check_out(args.out, (".json", ".csv", ".md"))
+    _check_out("--out", args.out, (".json", ".csv", ".md"))
     report = run_ppi_experiment(cfg)
     for r in report.per_round:
         print(f"round {r.round}: {r.correct} correct "
@@ -157,15 +157,15 @@ def _cmd_verify_cle(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    _check_out(args.out, (".csv",))
-    g1 = load_graph(args.g1)
-    g2 = load_graph(args.g2)
+    _check_out("--out", args.out, (".csv",))
+    g1, g2 = load_graph(args.g1), load_graph(args.g2)
     result = align(g1, g2, MODES[args.mode])
     _write_lines(args.out, "g1_node,g2_node,row_cost",
                  (f"{v},{result.mapping[v]},{c}" for v, c in enumerate(result.row_costs)))
     correct, pct = score_alignment(result)
     print(f"aligned {g1.num_nodes} nodes, total cost {result.total_cost:g}")
-    print(f"fixed points: {correct} ({pct:g}%)")
+    print(f"G1 nodes mapped to the same id in G2: {correct} ({pct:g}%), "
+          "meaningful only when the two files share node ids")
     print(f"assignment written to {args.out}")
     return 0
 

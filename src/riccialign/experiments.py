@@ -137,47 +137,50 @@ def run_torus_experiment() -> TorusReport:
 
 # -- PPI line-graph pipeline --------------------------------------------------
 
-def run_ppi_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the sampled line-graph alignment experiment.
-
-    Stages: load cfg.input_path, take one random-walk sample of
-    cfg.intermediate_sample_size nodes with the master seed, build its line
-    graph, then for each round r (seeded cfg.seed + r) sample a
-    cfg.subgraph_size-node G1 from the line graph, delete its edges with
-    probability cfg.deletion_probability to get G2, align, and count nodes
-    mapped to their own id.
-    """
+def build_universe(cfg: ExperimentConfig) -> Graph:
+    """Load cfg.input_path, walk cfg.intermediate_sample_size nodes seeded
+    cfg.seed, and return the walk's line graph, which every round samples."""
     g = load_graph(cfg.input_path)
     if cfg.intermediate_sample_size > g.num_nodes:
         raise ExperimentError(
             f"intermediate sample of {cfg.intermediate_sample_size} nodes "
             f"exceeds the input graph ({g.num_nodes} nodes)")
-
     intermediate = random_walk_sample(g, cfg.intermediate_sample_size, RngHandle(cfg.seed))
     universe = line_graph(intermediate).graph
     if universe.num_nodes < cfg.subgraph_size:
         raise ExperimentError(
             f"line graph has {universe.num_nodes} nodes, fewer than the "
             f"per-round subgraph size {cfg.subgraph_size}")
+    return universe
 
-    # hungarian's first call would import scipy.optimize inside round 1's
-    # timer. At p=0 G2 is G1 itself, every round pairs equal rows and none
-    # solves, so the import (about half a second) is left out
+
+def run_round(universe: Graph, cfg: ExperimentConfig, r: int) -> RoundResult:
+    """Round r >= 1: one handle seeded cfg.seed + r walks a cfg.subgraph_size-node
+    G1 from the universe, then deletes G1's edges with probability
+    cfg.deletion_probability to get G2; align, and count fixed points."""
+    _check_integers(r=r)
+    if r < 1:
+        raise GraphError(f"r must be >= 1, got {r}")
+    rng = RngHandle(cfg.seed + r)
+    start = time.perf_counter()
+    g1 = random_walk_sample(universe, cfg.subgraph_size, rng)
+    g2 = delete_edges_randomly(g1, cfg.deletion_probability, rng)
+    correct, pct = score_alignment(align(g1, g2, mode=MODES[cfg.mode]))
+    return RoundResult(round=r, correct=correct, percentage=pct,
+                       seconds=time.perf_counter() - start)
+
+
+def run_ppi_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run the sampled line-graph alignment experiment: `build_universe`,
+    then `run_round` for rounds 1..cfg.rounds, and their mean percentage."""
+    universe = build_universe(cfg)
+    # hungarian's first call would import scipy.optimize (about half a second)
+    # inside round 1's timer; at p=0 G2 is G1 and no round solves, so no import
     if cfg.deletion_probability > 0:
         import scipy.optimize  # noqa: F401
-    mode = MODES[cfg.mode]
-    results = []
-    for r in range(1, cfg.rounds + 1):
-        rng = RngHandle(cfg.seed + r)
-        start = time.perf_counter()
-        g1 = random_walk_sample(universe, cfg.subgraph_size, rng)
-        g2 = delete_edges_randomly(g1, cfg.deletion_probability, rng)
-        correct, pct = score_alignment(align(g1, g2, mode=mode))
-        results.append(RoundResult(round=r, correct=correct, percentage=pct,
-                                   seconds=time.perf_counter() - start))
-
+    results = tuple(run_round(universe, cfg, r) for r in range(1, cfg.rounds + 1))
     mean = statistics.fmean(res.percentage for res in results)
-    return ExperimentReport(per_round=tuple(results), mean_percentage=mean, config=cfg)
+    return ExperimentReport(per_round=results, mean_percentage=mean, config=cfg)
 
 
 # -- curvature-Laplacian verification -----------------------------------------

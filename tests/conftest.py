@@ -4,6 +4,8 @@ import os
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,11 @@ from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, connected_com
 
 from riccialign import (
     DirectedGraphError,
+    ExperimentConfig,
     Graph,
     GraphMLError,
     RngHandle,
+    align,
     experiments,
     lift_to_3d,
     triangular_ring_2d,
@@ -47,6 +51,28 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 def random_connected_graph(n: int, seed: int, extra: float = 0.2) -> Graph:
     """The package's seeded connected graph, keyed by an integer seed."""
     return experiments.random_connected_graph(n, RngHandle(seed), extra)
+
+
+def paper_config(path, **overrides) -> ExperimentConfig:
+    """The paper's run: a 1000-node intermediate walk, ten 500-node RMC rounds at p = 0.01."""
+    return replace(ExperimentConfig(str(path), intermediate_sample_size=1000, subgraph_size=500,
+                                    deletion_probability=0.01, rounds=10, seed=0, mode="rmc"),
+                   **overrides)
+
+
+@contextmanager
+def recording_align():
+    """A list that gets (G1, G2, the alignment) of every `experiments.align`
+    call made inside the block: each PPI round's graphs, in round order."""
+    rounds = []
+
+    def record(g1, g2, mode):
+        rounds.append((g1, g2, align(g1, g2, mode=mode)))
+        return rounds[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "align", record)
+        yield rounds
 
 
 def is_connected(g: Graph) -> bool:
@@ -257,6 +283,14 @@ def preferential_attachment_graph(n: int, seed: int, m_max: int = 60,
             adj[v].add(u)
             repeated += [u, v]
     return Graph(n, sorted(edges))
+
+
+@pytest.fixture(scope="session")
+def small_network(tmp_path_factory) -> Path:
+    """A 300-node GraphML network, small enough for many PPI runs and commands."""
+    path = tmp_path_factory.mktemp("nets") / "small.graphml"
+    write_graphml(preferential_attachment_graph(300, seed=8), path)
+    return path
 
 
 @pytest.fixture(scope="session")

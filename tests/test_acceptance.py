@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from riccialign import (
-    ExperimentConfig,
     Graph,
     RngHandle,
     align,
+    build_universe,
     common_max_degree,
     cost_matrix,
     curvature_distribution,
@@ -27,16 +27,16 @@ from riccialign import (
     hungarian,
     lift_to_3d,
     line_graph,
-    load_graphml,
     node_curvatures,
-    random_walk_sample,
     ricci_matrix,
     run_ppi_experiment,
+    run_round,
+    score_alignment,
     triangular_ring_2d,
 )
 
-from conftest import (EXAMPLE_EDGES, assignment_minimum, edge_pair_count,
-                      random_connected_graph, random_graph)
+from conftest import (EXAMPLE_EDGES, assignment_minimum, edge_pair_count, paper_config,
+                      random_connected_graph, random_graph, recording_align)
 
 
 @contextmanager
@@ -59,11 +59,10 @@ def test_curvature_worked_example():
 
 def test_curvature_laplacian_identity(ppi_graphml):
     with criterion("curvature-Laplacian identity"):
-        intermediate = random_walk_sample(load_graphml(ppi_graphml), 1000, RngHandle(0))
         cases = [lift_to_3d(triangular_ring_2d()),
                  line_graph(from_edge_list([(0, 1), (0, 2), (1, 2)])).graph,
                  line_graph(from_edge_list([(0, 1), (0, 2), (0, 3)])).graph,
-                 line_graph(intermediate).graph]  # the PPI experiment's universe
+                 build_universe(paper_config(ppi_graphml))]
         rng = random.Random(2024)
         cases += [random_connected_graph(rng.randint(2, 30), seed)
                   for seed in range(100)]
@@ -124,10 +123,7 @@ def test_line_graph_identities():
 
 def test_ppi_reproduction(ppi_graphml):
     with criterion("line-graph alignment accuracy band and determinism"):
-        cfg = ExperimentConfig(input_path=str(ppi_graphml),
-                               intermediate_sample_size=1000, subgraph_size=500,
-                               deletion_probability=0.01, rounds=10, seed=0,
-                               mode="rmc")
+        cfg = paper_config(ppi_graphml)
         report = run_ppi_experiment(cfg)
         for r in report.per_round:
             print(f"  round {r.round}: {r.correct}/500 = {r.percentage:.1f}%")
@@ -143,19 +139,12 @@ def test_perturbation_sanity(ppi_graphml):
     with criterion("zero-deletion identity and deletion-rate expectation"):
         # p = 0: G2 equals G1, the signature matrices coincide, and align()
         # pairs equal rows in ascending id order, so it returns the identity
-        cfg = ExperimentConfig(input_path=str(ppi_graphml),
-                               intermediate_sample_size=1000, subgraph_size=500,
-                               deletion_probability=0.0, rounds=3, seed=0,
-                               mode="rmc")
-        report = run_ppi_experiment(cfg)
+        with recording_align() as rounds:
+            report = run_ppi_experiment(paper_config(ppi_graphml, deletion_probability=0.0,
+                                                     rounds=3))
         assert all(r.percentage == 100.0 for r in report.per_round)
 
-        source = load_graphml(ppi_graphml)
-        intermediate = random_walk_sample(source, 1000, RngHandle(0))
-        universe = line_graph(intermediate).graph
-        rng = RngHandle(0 + 1)
-        g1 = random_walk_sample(universe, 500, rng)
-        g2 = delete_edges_randomly(g1, 0.0, rng)
+        g1, g2, _ = rounds[0]
         m = common_max_degree(g1, g2)
         m1, m2 = ricci_matrix(g1, m), ricci_matrix(g2, m)
         assert (m1.rows == m2.rows).all()
@@ -163,7 +152,7 @@ def test_perturbation_sanity(ppi_graphml):
         assert solved.total_cost == 0.0
         distinct = len(np.unique(m1.rows, axis=0)) == len(m1.rows)
         if distinct:
-            assert score_alignment_percentage(solved) == 100.0
+            assert score_alignment(solved)[1] == 100.0
 
         # E[removed] = 1.0 for p = 0.01 on 100 edges; 10k trials stay in 3 sigma
         ring = from_edge_list([(i, (i + 1) % 100) for i in range(100)])
@@ -179,21 +168,15 @@ def test_zero_deletion_maps_onto_equal_rows(ppi_graphml):
     with criterion("p=0 optimum pairs only equal Ricci rows (any exact solver)"):
         # the same three rounds as test_perturbation_sanity's p = 0 run; a
         # cost of 0 means equal rows, so this holds whichever optimum is found
-        intermediate = random_walk_sample(load_graphml(ppi_graphml), 1000, RngHandle(0))
-        universe = line_graph(intermediate).graph
-        for r in (1, 2, 3):
-            rng = RngHandle(0 + r)
-            g1 = random_walk_sample(universe, 500, rng)
-            g2 = delete_edges_randomly(g1, 0.0, rng)
+        cfg = paper_config(ppi_graphml, deletion_probability=0.0)
+        universe = build_universe(cfg)
+        with recording_align() as rounds:
+            for r in (1, 2, 3):
+                run_round(universe, cfg, r)
+        for g1, g2, _ in rounds:
             m = common_max_degree(g1, g2)
             m1, m2 = ricci_matrix(g1, m), ricci_matrix(g2, m)
             solved = hungarian(cost_matrix(m1, m2))
             src, dst = zip(*solved.mapping.items())
             assert (m1.rows[list(src)] == m2.rows[list(dst)]).all()
             assert solved.total_cost == 0.0
-
-
-def score_alignment_percentage(assignment) -> float:
-    from riccialign import score_alignment
-
-    return score_alignment(assignment)[1]

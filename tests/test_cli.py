@@ -12,7 +12,7 @@ from riccialign.alignment import MODES
 from riccialign.cli import main
 from riccialign.experiments import ExperimentConfig
 
-from conftest import preferential_attachment_graph, write_edge_list, write_graphml
+from conftest import write_edge_list
 
 
 def test_torus_command(capsys, tmp_path):
@@ -201,7 +201,8 @@ def test_align_command(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "g1_node,g2_node,row_cost"
     assert len(lines) == 5
-    assert "fixed points: 4 (100%)" in capsys.readouterr().out
+    assert ("G1 nodes mapped to the same id in G2: 4 (100%), meaningful only when "
+            "the two files share node ids") in capsys.readouterr().out
 
 
 def test_align_command_writes_one_line_per_g1_node(capsys, tmp_path):
@@ -281,16 +282,9 @@ def test_align_command_rejects_size_mismatch(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.fixture(scope="module")
-def tiny_graphml(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "tiny.graphml"
-    write_graphml(preferential_attachment_graph(300, seed=8), path)
-    return path
-
-
-def test_ppi_command_with_flags(capsys, tmp_path, tiny_graphml):
+def test_ppi_command_with_flags(capsys, tmp_path, small_network):
     out = tmp_path / "report.json"
-    assert main(["ppi", "--input", str(tiny_graphml), "--rounds", "2",
+    assert main(["ppi", "--input", str(small_network), "--rounds", "2",
                  "--p", "0.01", "--size", "50", "--intermediate", "100",
                  "--seed", "3", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
@@ -332,7 +326,7 @@ def test_ppi_command_report_formats(capsys, tmp_path, torus_edges):
 
     for bad in ("r.xml", "r.markdown", "r"):
         assert main([*run, str(tmp_path / bad)]) == 2
-        assert capsys.readouterr().err.startswith("error: unknown report suffix ")
+        assert capsys.readouterr().err.startswith("error: --out: unknown suffix ")
         assert not (tmp_path / bad).exists()
 
 
@@ -352,10 +346,10 @@ def test_ppi_json_report_echoes_the_whole_config(capsys, tmp_path, torus_edges):
     ]
 
 
-def test_ppi_command_config_file_with_flag_override(capsys, tmp_path, tiny_graphml):
+def test_ppi_command_config_file_with_flag_override(capsys, tmp_path, small_network):
     args = tmp_path / "run.args"
     args.write_text(
-        f"--input={tiny_graphml}\n--rounds=5\n--size=50\n--intermediate=100\n"
+        f"--input={small_network}\n--rounds=5\n--size=50\n--intermediate=100\n"
         "--seed\n3\n--p=0.0\n--mode=rmc\n")
     out = tmp_path / "report.csv"
     assert main(["ppi", f"@{args}", "--rounds", "2", "--out", str(out)]) == 0
@@ -383,17 +377,17 @@ def test_ppi_command_requires_input():
         main(["ppi", "--rounds", "1"])
 
 
-def test_ppi_command_config_file_skips_blank_lines(capsys, tmp_path, tiny_graphml):
+def test_ppi_command_config_file_skips_blank_lines(capsys, tmp_path, small_network):
     args = tmp_path / "run.args"
-    args.write_text(f"--input={tiny_graphml}\n--size=50\n\n  \n--intermediate=100\n\n")
+    args.write_text(f"--input={small_network}\n--size=50\n\n  \n--intermediate=100\n\n")
     out = tmp_path / "report.csv"
     assert main(["ppi", f"@{args}", "--rounds", "1", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "round,correct,percentage"
 
 
-def test_ppi_command_rejects_unknown_config_key(capsys, tmp_path, tiny_graphml):
+def test_ppi_command_rejects_unknown_config_key(capsys, tmp_path, small_network):
     args = tmp_path / "run.args"
-    args.write_text(f"--input={tiny_graphml}\n--bogus=1\n")
+    args.write_text(f"--input={small_network}\n--bogus=1\n")
     with pytest.raises(SystemExit) as exc:
         main(["ppi", f"@{args}"])
     assert exc.value.code == 2
@@ -407,8 +401,8 @@ def test_ppi_command_reports_a_missing_args_file(capsys, tmp_path):
     assert "missing.args" in capsys.readouterr().err
 
 
-def test_domain_errors_exit_cleanly(capsys, tmp_path, tiny_graphml):
-    assert main(["ppi", "--input", str(tiny_graphml), "--rounds", "0"]) == 2
+def test_domain_errors_exit_cleanly(capsys, tmp_path, small_network):
+    assert main(["ppi", "--input", str(small_network), "--rounds", "0"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["align", "--mode", "dmc", "--g1", "missing.edges",
                  "--g2", "missing.edges", "--out", str(tmp_path / "x.csv")]) == 2
@@ -448,7 +442,7 @@ def test_torus_command_reports_a_directory_output(capsys, tmp_path):
 def test_torus_command_rejects_a_non_json_out_before_the_run(capsys, tmp_path, name):
     assert main(["torus", "--out", str(tmp_path / name)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: unknown report suffix ")
+    assert captured.err.startswith("error: --out: unknown suffix ")
     assert "class A" not in captured.out
     assert list(tmp_path.iterdir()) == []
 
@@ -457,7 +451,7 @@ def test_torus_command_rejects_a_non_json_out_before_the_run(capsys, tmp_path, n
 def test_torus_command_rejects_a_non_csv_histogram_before_the_run(capsys, tmp_path, name):
     assert main(["torus", "--histogram", str(tmp_path / name)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: unknown report suffix {name[1:]!r} (use .csv)\n"
+    assert captured.err == f"error: --histogram: unknown suffix {name[1:]!r} (use .csv)\n"
     assert "class A" not in captured.out
     assert list(tmp_path.iterdir()) == []
 
@@ -474,7 +468,7 @@ def test_align_command_rejects_a_non_csv_out_before_aligning(capsys, tmp_path, m
     assert main(["align", "--mode", "rmc", "--g1", str(g), "--g2", str(g),
                  "--out", str(tmp_path / name)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: unknown report suffix {name[1:]!r} (use .csv)\n"
+    assert captured.err == f"error: --out: unknown suffix {name[1:]!r} (use .csv)\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [g]
 
@@ -499,26 +493,26 @@ def test_ppi_command_rejects_a_negative_seed_before_loading(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_ppi_command_checks_the_config_format_before_any_round(capsys, tmp_path, tiny_graphml):
+def test_ppi_command_checks_the_config_format_before_any_round(capsys, tmp_path, small_network):
     out = tmp_path / "report.xml"
-    assert main(["ppi", "--input", str(tiny_graphml), "--rounds", "2", "--size", "50",
+    assert main(["ppi", "--input", str(small_network), "--rounds", "2", "--size", "50",
                  "--intermediate", "100", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "round" not in captured.out
-    assert captured.err == "error: unknown report suffix '.xml' (use .json, .csv or .md)\n"
+    assert captured.err == "error: --out: unknown suffix '.xml' (use .json, .csv or .md)\n"
     assert not out.exists()
 
 
 def test_ppi_command_checks_the_report_suffix_before_loading(capsys, tmp_path):
     assert main(["ppi", "--input", str(tmp_path / "missing.graphml"),
                  "--out", str(tmp_path / "report.txt")]) == 2
-    assert capsys.readouterr().err.startswith("error: unknown report suffix '.txt'")
+    assert capsys.readouterr().err.startswith("error: --out: unknown suffix '.txt'")
 
 
 @pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/report.json", ""],
                          ids=["directory", "no-parent", "empty"])
-def test_ppi_command_checks_the_output_path_before_any_round(capsys, tmp_path, tiny_graphml, out):
-    assert main(["ppi", "--input", str(tiny_graphml), "--rounds", "2", "--size", "50",
+def test_ppi_command_checks_the_output_path_before_any_round(capsys, tmp_path, small_network, out):
+    assert main(["ppi", "--input", str(small_network), "--rounds", "2", "--size", "50",
                  "--intermediate", "100", "--out", out.format(tmp=tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "round" not in captured.out
@@ -539,11 +533,11 @@ def test_an_empty_output_path_fails_before_any_work(capsys, argv):
     assert captured.out == ""
 
 
-def test_ppi_command_output_check_keeps_an_existing_file(capsys, tmp_path, tiny_graphml):
+def test_ppi_command_output_check_keeps_an_existing_file(capsys, tmp_path, small_network):
     out = tmp_path / "report.csv"
     out.write_text("old\n")
     # the experiment fails after the check: the file is left as it was
-    assert main(["ppi", "--input", str(tiny_graphml), "--size", "50",
+    assert main(["ppi", "--input", str(small_network), "--size", "50",
                  "--intermediate", "1000", "--out", str(out)]) == 2
     assert out.read_text() == "old\n"
 

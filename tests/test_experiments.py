@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -13,17 +13,19 @@ from riccialign import (
     ExperimentError,
     GraphError,
     RngHandle,
+    build_universe,
+    from_edge_list,
     lift_to_3d,
-    line_graph,
     random_walk_sample,
     run_cle_verification,
     run_ppi_experiment,
+    run_round,
     run_torus_experiment,
     triangular_ring_2d,
 )
 from riccialign.experiments import load_graph, random_connected_graph
 
-from conftest import is_connected, preferential_attachment_graph, write_edge_list, write_graphml
+from conftest import is_connected, paper_config, write_edge_list
 
 
 def test_torus_experiment_classes():
@@ -138,18 +140,8 @@ def test_config_rejects_mistyped_probability_and_mode(name, value):
 
 
 def _small_config(path, **overrides) -> ExperimentConfig:
-    defaults = dict(input_path=str(path), intermediate_sample_size=120,
-                    subgraph_size=60, deletion_probability=0.01,
-                    rounds=3, seed=5, mode="rmc")
-    defaults.update(overrides)
-    return ExperimentConfig(**defaults)
-
-
-@pytest.fixture(scope="module")
-def small_network(tmp_path_factory):
-    path = tmp_path_factory.mktemp("nets") / "small.graphml"
-    write_graphml(preferential_attachment_graph(300, seed=8), path)
-    return path
+    return replace(paper_config(path, intermediate_sample_size=120, subgraph_size=60,
+                                rounds=3, seed=5), **overrides)
 
 
 def test_ppi_experiment_shape_and_bounds(small_network):
@@ -221,32 +213,41 @@ def test_ppi_experiment_different_seed_differs(small_network):
 
 
 def test_ppi_experiment_line_graph_is_the_alignment_universe(small_network):
-    # reconstruct the pipeline stages: the universe is the intermediate
-    # sample's line graph, so its node count is that sample's edge count
-    g = load_graph(small_network)
+    # the universe is the intermediate walk's line graph: one node per walk edge
     cfg = _small_config(small_network)
-    intermediate = random_walk_sample(g, cfg.intermediate_sample_size, RngHandle(cfg.seed))
-    assert line_graph(intermediate).graph.num_nodes == intermediate.num_edges
+    intermediate = random_walk_sample(load_graph(small_network), cfg.intermediate_sample_size,
+                                      RngHandle(cfg.seed))
+    assert build_universe(cfg).num_nodes == intermediate.num_edges
+
+
+@pytest.mark.parametrize("mode, p", [(m, p) for m in ("rmc", "dmc") for p in (0.0, 0.01)])
+def test_run_round_is_the_experiment_round(small_network, mode, p):
+    cfg = _small_config(small_network, mode=mode, deletion_probability=p)
+    universe = build_universe(cfg)
+    for r, expected in enumerate(run_ppi_experiment(cfg).per_round, start=1):
+        assert replace(run_round(universe, cfg, r), seconds=0) == replace(expected, seconds=0)
+
+
+@pytest.mark.parametrize("r", [0, -1, 1.5, True])
+def test_run_round_rejects_a_round_below_one_or_not_an_integer(small_network, r):
+    cfg = _small_config(small_network)  # round 0 would replay the intermediate walk's seed
+    with pytest.raises(GraphError, match="^r"):
+        run_round(build_universe(cfg), cfg, r)
 
 
 def test_ppi_experiment_rejects_oversized_intermediate(small_network):
-    cfg = _small_config(small_network, intermediate_sample_size=10**6,
-                        subgraph_size=100)
-    with pytest.raises(ExperimentError):
-        run_ppi_experiment(cfg)
-
-
-def _path_graph(n):
-    from riccialign import from_edge_list
-
-    return from_edge_list([(i, i + 1) for i in range(n - 1)])
+    cfg = _small_config(small_network, intermediate_sample_size=10**6, subgraph_size=100)
+    for run in (build_universe, run_ppi_experiment):
+        with pytest.raises(ExperimentError):
+            run(cfg)
 
 
 def test_ppi_experiment_rejects_thin_line_graph(tmp_path):
     # a path graph's line graph is one node smaller than the sample
     path = tmp_path / "path.edges"
-    write_edge_list(_path_graph(50), path)
+    write_edge_list(from_edge_list([(i, i + 1) for i in range(49)]), path)
     cfg = ExperimentConfig(input_path=str(path), intermediate_sample_size=50,
                            subgraph_size=50, rounds=1, seed=0)
-    with pytest.raises(ExperimentError):
-        run_ppi_experiment(cfg)
+    for run in (build_universe, run_ppi_experiment):
+        with pytest.raises(ExperimentError):
+            run(cfg)

@@ -11,11 +11,10 @@ least one of these numbers.
 
 import pytest
 
-import riccialign.experiments as experiments
-from riccialign import (ExperimentConfig, common_max_degree, cost_matrix, ricci_matrix,
-                        run_ppi_experiment)
+from riccialign import common_max_degree, cost_matrix, ricci_matrix, run_ppi_experiment
 
-from conftest import certified_optimal, preferential_attachment_graph, write_edge_list
+from conftest import (certified_optimal, paper_config, preferential_attachment_graph,
+                      recording_align, write_edge_list)
 
 GOLDEN_CORRECT = [459, 438, 429, 439, 421, 457, 422, 422, 443, 416]
 GOLDEN_TOTAL_COST = [74825.1103042793, 98834.64325660601, 82850.99978086028,
@@ -27,22 +26,10 @@ GOLDEN_TOTAL_COST = [74825.1103042793, 98834.64325660601, 82850.99978086028,
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
     """The golden run's report and, per round, (G1, G2, the alignment)."""
-    rounds = []
-    align = experiments.align
-
-    def recording_align(g1, g2, mode):
-        result = align(g1, g2, mode=mode)
-        rounds.append((g1, g2, result))
-        return result
-
     path = tmp_path_factory.mktemp("golden") / "surrogate.edges"
     write_edge_list(preferential_attachment_graph(3800, seed=10), path)
-    cfg = ExperimentConfig(input_path=str(path), intermediate_sample_size=1000,
-                           subgraph_size=500, deletion_probability=0.01,
-                           rounds=10, seed=0, mode="rmc")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "align", recording_align)
-        report = run_ppi_experiment(cfg)
+    with recording_align() as rounds:
+        report = run_ppi_experiment(paper_config(path))
     return report, rounds
 
 
