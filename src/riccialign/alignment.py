@@ -20,16 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _integers
 from .curvature import _row_sums, node_curvature_array
 
 
 # The paper's method names (the `rmc` flags and the PPI config's `mode`) and
 # the signature mode each one aligns with.
 MODES = {"rmc": "ricci", "dmc": "degree"}
-
-# rows of m1 per matrix product in `cost_matrix`
-_PANEL_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -129,15 +126,16 @@ def cost_matrix(m1: SignatureMatrix, m2: SignatureMatrix) -> np.ndarray:
     partial sum of that product is an integer of magnitude at most 4S
     (Cauchy-Schwarz). The product runs in float64 (BLAS) when 4S < 2^53 and
     in int64 when 4S < 2^63; beyond that the matrix is rejected rather than
-    wrapped. m1's rows are taken in panels sorted by the width they use (up
-    to their last nonzero slot), and each panel is multiplied only that far,
-    so zero padding is skipped; the result is the one n1 x n2 array built.
+    wrapped. Rows that are not integers raise GraphError. The float64
+    product is written straight into the result, the one n1 x n2 array
+    built; the int64 product, which no sampled workload reaches, passes
+    through one n1 x n2 int64 temporary on its way into it.
     """
+    a, b = _integers(m1.rows, (-1, -1)), _integers(m2.rows, (-1, -1))
     if m1.width != m2.width:
         raise GraphError(f"signature widths differ: {m1.width} vs {m2.width}")
     if m1.mode != m2.mode:
         raise GraphError(f"signature modes differ: {m1.mode} vs {m2.mode}")
-    a, b = np.asarray(m1.rows, dtype=np.int64), np.asarray(m2.rows, dtype=np.int64)
     sa = np.square(a, dtype=np.float64).sum(axis=1)
     sb = np.square(b, dtype=np.float64).sum(axis=1)
     dtype = np.float64
@@ -155,17 +153,9 @@ def cost_matrix(m1: SignatureMatrix, m2: SignatureMatrix) -> np.ndarray:
     lhs[:, 0], lhs[:, 1], lhs[:, 2:] = sa, 1, -2 * a
     rhs = np.empty((m + 2, n2), dtype=dtype)
     rhs[0], rhs[1], rhs[2:] = 1, sb, b.T
-    used = 2 + np.where(a != 0, np.arange(1, m + 1), 0).max(axis=1, initial=0)
-    order = np.argsort(used, kind="stable")
-    out = np.empty((n1, n2))
-    panel = np.empty((min(_PANEL_ROWS, n1), n2))
-    for start in range(0, n1, _PANEL_ROWS):
-        rows = order[start:start + _PANEL_ROWS]
-        k = used[rows[-1]]
-        # an int64 product is converted to float64 here, each entry rounded once
-        block = np.matmul(lhs[rows, :k], rhs[:k], out=panel[:len(rows)])
-        out[rows] = np.sqrt(block, out=block)
-    return out
+    # an int64 product is converted to float64 here, each entry rounded once
+    out = np.matmul(lhs, rhs, out=np.empty((n1, n2)))
+    return np.sqrt(out, out=out)
 
 
 def hungarian(cost) -> Assignment:

@@ -1,11 +1,12 @@
 """Experiment runners: torus hole identification and PPI line-graph alignment.
 
-The torus experiment aligns two copies of the lifted triangular ring with
-Ricci signature matrices and checks that the minimum-curvature nodes (the
-ones bordering the hole) land on each other. The PPI experiment reproduces
-the sampled line-graph pipeline: one intermediate random-walk sample, its
-line graph, then per round a fresh subgraph sample, a light random edge
-deletion, an alignment, and a fixed-point count by node id.
+The torus experiment aligns the lifted triangular ring with itself, with
+Ricci signature matrices, and checks that the minimum-curvature nodes (the
+ones bordering the hole) land on each other; since G2 is G1, its 100% holds
+by construction. The PPI experiment reproduces the sampled line-graph
+pipeline: one intermediate random-walk sample, its line graph, then per
+round a fresh subgraph sample, a light random edge deletion, an alignment,
+and a fixed-point count by node id.
 """
 
 from __future__ import annotations
@@ -107,12 +108,13 @@ class TorusReport:
 
 
 def run_torus_experiment() -> TorusReport:
-    """Align two copies of the lifted triangular torus and classify its nodes.
+    """Align the lifted triangular torus with itself and classify its nodes.
 
     The three node-curvature values split the torus into classes A (most
     negative, bordering the hole), B, and C; the report carries one Ricci
     row vector per class and the fraction of A-nodes that the alignment
-    sends to A-nodes.
+    sends to A-nodes. The run is `align(torus, torus)`, which is the
+    identity, so that fraction is 100% by construction.
     """
     torus = lift_to_3d(triangular_ring_2d())
     curvatures = node_curvatures(torus)

@@ -5,7 +5,7 @@ Graphs are immutable after construction: node ids are always the dense range
 compressed sparse row (CSR) form: node v's neighbors are
 ``indices[indptr[v]:indptr[v + 1]]`` in ascending order. ``edge_array``,
 every edge once as a canonical (min, max) row, sorted lexicographically, is
-the CSR entries with row < col, built on first read: the pipeline's walks,
+the CSR entries with row < col, built on every read: the pipeline's walks,
 subgraphs and curvatures read only the CSR arrays. The arrays are built with
 numpy sorts rather than per-edge Python objects, so every layer can work on
 them vectorised, and a fixed edge order keeps every downstream matrix row
@@ -91,11 +91,11 @@ class Graph:
         ``indices[indptr[v]:indptr[v + 1]]``.
     edge_array:
         int64 (E, 2) array of canonical (min, max) edges in lexicographic
-        order, built from the CSR arrays on first read; ``edges`` is the same
+        order, built from the CSR arrays on every read; ``edges`` is the same
         as a tuple of pairs.
     """
 
-    __slots__ = ("num_nodes", "indptr", "indices", "_edge_array", "_edges")
+    __slots__ = ("num_nodes", "indptr", "indices")
 
     def __init__(self, num_nodes, edges):
         n = self.num_nodes = int(_integers(num_nodes, ()))
@@ -128,7 +128,6 @@ class Graph:
         self.num_nodes = n
         self.indptr, self.indices = indptr, indices
         indptr.flags.writeable = indices.flags.writeable = False
-        self._edge_array = self._edges = None
         return self
 
     # -- basic accessors ---------------------------------------------------
@@ -144,20 +143,16 @@ class Graph:
     @property
     def edge_array(self) -> np.ndarray:
         """The CSR entries with row < col, as (row, col) rows: CSR order is
-        lexicographic. Two threads that read it first both build the same array."""
-        if self._edge_array is None:
-            rows, forward = self._edge_slots()
-            edge_array = np.column_stack((rows[forward], self.indices[forward]))
-            edge_array.flags.writeable = False
-            self._edge_array = edge_array
-        return self._edge_array
+        lexicographic. A new read-only array on every read."""
+        rows, forward = self._edge_slots()
+        edge_array = np.column_stack((rows[forward], self.indices[forward]))
+        edge_array.flags.writeable = False
+        return edge_array
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical (min, max) edges in lexicographic order, as Python ints."""
-        if self._edges is None:
-            self._edges = tuple(map(tuple, self.edge_array.tolist()))
-        return self._edges
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def degrees(self) -> np.ndarray:

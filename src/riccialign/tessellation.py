@@ -41,6 +41,6 @@ def lift_to_3d(g2d: Graph) -> Graph:
     """
     n = g2d.num_nodes
     edges = list(g2d.edges)
-    edges += [(u + n, v + n) for u, v in g2d.edges]
+    edges += [(u + n, v + n) for u, v in edges]
     edges += [(v, v + n) for v in range(n)]
     return Graph(2 * n, edges)

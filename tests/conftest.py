@@ -1,4 +1,5 @@
-"""Shared fixtures: worked-example graph, torus, and the synthetic PPI stand-in."""
+"""Shared fixtures: worked-example graph, torus, the synthetic PPI stand-in, and the
+tuple-and-set references that the vectorised graph layers are checked against."""
 
 import os
 import random
@@ -51,6 +52,71 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 def random_connected_graph(n: int, seed: int, extra: float = 0.2) -> Graph:
     """The package's seeded connected graph, keyed by an integer seed."""
     return experiments.random_connected_graph(n, RngHandle(seed), extra)
+
+
+class Reference:
+    """Tuple-and-set graph: canonical sorted edges and sorted adjacency lists."""
+
+    def __init__(self, n, pairs):
+        self.n = n
+        self.edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+        self.adj = [[] for _ in range(n)]
+        for u, v in self.edges:
+            self.adj[u].append(v)
+            self.adj[v].append(u)
+        self.adj = [sorted(a) for a in self.adj]
+
+    def degree(self, v):
+        return len(self.adj[v])
+
+    def curvature(self, v):
+        d = self.degree(v)
+        return d * (2 - d) - sum(self.degree(w) for w in self.adj[v])
+
+
+def reference_walk(ref, size, rng, max_iter=100):
+    """The walk over neighbor tuples, as before the CSR Graph; a jump collects
+    its target."""
+    all_nodes = list(range(ref.n))
+    current = rng.choice(all_nodes)
+    visited, visited_set, stagnant = [current], {current}, 0
+    while len(visited) < size:
+        nbrs = tuple(ref.adj[current])
+        nxt = rng.choice(nbrs) if nbrs else rng.choice(all_nodes)
+        if nxt not in visited_set:
+            visited.append(nxt)
+            visited_set.add(nxt)
+            stagnant = 0
+        else:
+            stagnant += 1
+        if stagnant >= max_iter:
+            nxt = rng.choice(sorted(set(all_nodes) - visited_set))
+            visited.append(nxt)
+            visited_set.add(nxt)
+            stagnant = 0
+        current = nxt
+    return visited
+
+
+def reference_subgraph_edges(ref, keep):
+    index = {v: i for i, v in enumerate(sorted(set(keep)))}
+    return tuple((index[u], index[v]) for u, v in ref.edges if u in index and v in index)
+
+
+@contextmanager
+def edge_array_reads():
+    """A list that gets every graph whose `edge_array` (or `edges`) is read
+    inside the block, once per read."""
+    reads = []
+    build = Graph.edge_array.fget
+
+    def probe(g):
+        reads.append(g)
+        return build(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Graph, "edge_array", property(probe))
+        yield reads
 
 
 def paper_config(path, **overrides) -> ExperimentConfig:

@@ -147,19 +147,22 @@ def test_cost_matrix_matches_exact_reference(data):
     _assert_bitwise_equal(c, _exact_costs(rows1, rows2))
 
 
-def test_cost_matrix_exact_across_panels():
-    # more rows than one 128-row panel, in random order, with used widths
-    # (up to the last nonzero slot) spread from 0 to m, so that the panels of
-    # width-sorted rows mix widths and the loop crosses panel boundaries
+@pytest.mark.parametrize("scale, int64", [(1, False), (2**20, True)], ids=["float64", "int64"])
+def test_cost_matrix_exact_on_rows_of_mixed_widths(scale, int64):
+    # rows in random order whose used widths (up to the last nonzero slot)
+    # spread from 0 to m; scaled by 2^20, 4S passes 2^53 and the product runs in int64
     rng = random.Random(7)
     m = 24
 
     def row():
         used = rng.randint(0, m)
-        return [rng.choice([0, rng.randint(-40, 40)]) for _ in range(used)] + [0] * (m - used)
+        return [scale * rng.choice([0, rng.randint(-40, 40)]) for _ in range(used)] + \
+            [0] * (m - used)
 
     rows1 = [row() for _ in range(300)]
     rows2 = [row() for _ in range(140)]
+    largest = max(sum(x * x for x in row) for row in rows1 + rows2)
+    assert (4 * largest >= 2**53) == int64 and 4 * largest < 2**63
     c = cost_matrix(_signature(rows1, m), _signature(rows2, m))
     _assert_bitwise_equal(c, _exact_costs(rows1, rows2))
 
@@ -221,6 +224,16 @@ def test_cost_matrix_rejects_int64_overflow():
     m2 = SignatureMatrix(rows=np.array([[2**31 - 1, 0]], dtype=np.int64), mode="ricci")
     with pytest.raises(GraphError):
         cost_matrix(m1, m2)
+
+
+@pytest.mark.parametrize("rows", [[[0.5, 0]], [[True, False]]], ids=["float", "bool"])
+def test_cost_matrix_rejects_rows_that_are_not_integers(rows):
+    # read as int64, [0.5, 0] would cost 0.0 against [0, 0], which is not equal
+    zeros = SignatureMatrix(rows=np.zeros((1, 2), dtype=np.int64), mode="ricci")
+    bad = SignatureMatrix(rows=np.array(rows), mode="ricci")
+    for pair in ((bad, zeros), (zeros, bad)):
+        with pytest.raises(GraphError, match="expected integers"):
+            cost_matrix(*pair)
 
 
 def test_cost_matrix_validates_width_and_mode(example_graph):

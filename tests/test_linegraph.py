@@ -13,8 +13,8 @@ from riccialign import (
     random_walk_sample,
 )
 
-from conftest import (edge_pair_count, is_connected, random_connected_graph, random_graph,
-                      traced_peak)
+from conftest import (edge_array_reads, edge_pair_count, is_connected, random_connected_graph,
+                      random_graph, traced_peak)
 
 K3 = [(0, 1), (0, 2), (1, 2)]
 CLAW = [(0, 1), (0, 2), (0, 3)]
@@ -105,20 +105,22 @@ def test_line_graph_peak_memory_is_about_the_output():
     # the result plus one chunk: no sort of all of L(G)'s entries next to it
     pairs = np.random.default_rng(0).integers(0, 1000, size=(15000, 2))
     g = Graph(1000, pairs[pairs[:, 0] != pairs[:, 1]])
-    lg, peak = traced_peak(lambda: line_graph(g).graph)
+    with edge_array_reads() as reads:
+        lg, peak = traced_peak(lambda: line_graph(g).graph)
     assert lg.indices.size >= 8 * linegraph._CHUNK_ENTRIES
-    assert lg._edge_array is None  # the bound is on the two arrays line_graph returns
+    assert len(reads) == 1 and reads[0] is g  # the parent's edges, and no edge list of L(G)
     assert peak <= 1.5 * (lg.indptr.nbytes + lg.indices.nbytes)
 
 
 def test_a_round_builds_no_edge_list_for_the_universe_or_g2():
     # the walk, induced_subgraph, the deletion and the curvature rows read
     # only the CSR arrays
-    universe = line_graph(random_connected_graph(60, seed=4)).graph
-    assert universe._edge_array is None
-    rng = RngHandle(5)
-    g1 = random_walk_sample(universe, 40, rng)
-    g2 = delete_edges_randomly(g1, 0.2, rng)
-    assert g2.num_edges < g1.num_edges
-    align(g1, g2)
-    assert all(g._edge_array is None for g in (universe, g1, g2))
+    parent = random_connected_graph(60, seed=4)
+    with edge_array_reads() as reads:
+        universe = line_graph(parent).graph
+        rng = RngHandle(5)
+        g1 = random_walk_sample(universe, 40, rng)
+        g2 = delete_edges_randomly(g1, 0.2, rng)
+        assert g2.num_edges < g1.num_edges
+        align(g1, g2)
+    assert len(reads) == 1 and reads[0] is parent  # only line_graph reads its input's edges

@@ -16,8 +16,7 @@ from riccialign import (
     sampling,
 )
 
-from conftest import random_connected_graph
-from test_properties import Reference, reference_subgraph_edges, reference_walk
+from conftest import Reference, random_connected_graph, reference_subgraph_edges, reference_walk
 
 
 def walked_ids(g, size, seed):
