@@ -232,7 +232,7 @@ def _hash_pairing(g1: Graph, f1: np.ndarray, g2: Graph, f2: np.ndarray) -> np.nd
     # equal row multisets have equal sums of deg * f (mod 2^64): a cheap early no
     if np.dot(g1.degrees, f1) != np.dot(g2.degrees, f2):
         return None
-    h1, h2 = _row_sums(g1, _mix(f1)), _row_sums(g2, _mix(f2))
+    h1, h2 = _row_sums(g1, _mix(f1)[g1.indices]), _row_sums(g2, _mix(f2)[g2.indices])
     o1, o2 = np.argsort(h1, kind="stable"), np.argsort(h2, kind="stable")
     if not np.array_equal(h1[o1], h2[o2]):
         return None

@@ -26,11 +26,11 @@ def edge_curvatures(g: Graph) -> np.ndarray:
     return 2 - g.degrees[u] - g.degrees[v]
 
 
-def _row_sums(g: Graph, values: np.ndarray) -> np.ndarray:
-    """Every node's sum of `values` over its neighbours, in the dtype of `values`
-    (integer sums wrap as it does): one prefix sum over the CSR rows."""
-    prefix = np.zeros(len(g.indices) + 1, dtype=values.dtype)
-    np.cumsum(values[g.indices], out=prefix[1:])
+def _row_sums(g: Graph, slot_values: np.ndarray) -> np.ndarray:
+    """Every node's sum of `slot_values`, one per CSR slot, over its row, in
+    their dtype (integer sums wrap as it does): one prefix sum."""
+    prefix = np.zeros(len(slot_values) + 1, dtype=slot_values.dtype)
+    np.cumsum(slot_values, out=prefix[1:])
     return prefix[g.indptr[1:]] - prefix[g.indptr[:-1]]
 
 
@@ -42,7 +42,7 @@ def node_curvature_array(g: Graph) -> np.ndarray:
     arrays alone.
     """
     deg = g.degrees
-    return deg * (2 - deg) - _row_sums(g, deg)
+    return deg * (2 - deg) - _row_sums(g, deg[g.indices])
 
 
 def node_curvatures(g: Graph) -> list:
@@ -53,16 +53,16 @@ def node_curvatures(g: Graph) -> list:
 def curvature_laplacian_residuals(g: Graph) -> np.ndarray:
     """int64 Ric(v_i) - (L s_i^T)_i of every node i; each equals 2 deg_i (1 - deg_i).
 
-    Ric is summed from ``edge_curvatures`` over the edge list, apart from the
-    CSR form `node_curvature_array` uses, so the check tests the curvatures.
-    Row i of L = D - A is zero outside i's closed neighbourhood, where s_i
-    equals the degree vector, so (L s_i^T)_i = (L deg)_i = deg_i^2 minus the
-    sum of i's neighbours' degrees: one prefix sum over the CSR rows.
+    Ric sums ``edge_curvatures`` over each node's CSR slots by their edge
+    ids, apart from the degree form `node_curvature_array` uses, so the check
+    tests the curvatures. Row i of L = D - A is zero outside i's closed
+    neighbourhood, where s_i equals the degree vector, so
+    (L s_i^T)_i = (L deg)_i = deg_i^2 minus the sum of i's neighbours'
+    degrees. Both are one prefix sum over the CSR rows.
     """
-    ric = np.zeros(g.num_nodes, dtype=np.int64)
-    np.add.at(ric, g.edge_array.ravel(), np.repeat(edge_curvatures(g), 2))
+    ric = _row_sums(g, edge_curvatures(g)[g._slot_edges()])
     deg = g.degrees
-    return ric - (deg * deg - _row_sums(g, deg))
+    return ric - (deg * deg - _row_sums(g, deg[g.indices]))
 
 
 def curvature_laplacian_holds(g: Graph) -> bool:

@@ -11,11 +11,10 @@ numpy sorts rather than per-edge Python objects, so every layer can work on
 them vectorised, and a fixed edge order keeps every downstream matrix row
 order reproducible.
 
-Graphs derived from a valid Graph (``induced_subgraph``, the edges kept by
-``delete_edges_randomly``, ``line_graph``) skip the constructor's checks and
-full sort: their entries come from the parent's arrays in CSR order, as
-finished CSR rows (the subgraph's and the line graph's) or as two sorted runs
-one stable sort merges (the deletion's).
+Only the checked constructor sorts. Graphs derived from a valid Graph
+(``induced_subgraph``, the edges kept by ``delete_edges_randomly``,
+``line_graph``) skip its checks: each is a gather or a mask of its parent's
+CSR slots, which keeps their order, so their rows come out finished.
 
 ``load_graphml`` reads GraphML in one ``xml.parsers.expat`` pass that builds
 no element tree.
@@ -114,14 +113,10 @@ class Graph:
         # CSR order, and dropping repeats removes duplicate edges
         keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        self._store(n, *np.divmod(keys, n))
-
-    def _store(self, n: int, rows, cols) -> "Graph":
-        """Set every field from the (row, col) entries of both edge directions,
-        given in CSR order (row-major, no repeats): nothing here checks them."""
+        rows, cols = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return self._set_csr(n, indptr, cols)
+        self._set_csr(n, indptr, cols)
 
     def _set_csr(self, n: int, indptr, indices) -> "Graph":
         """Set and freeze every field from finished int64 CSR arrays, unchecked."""
@@ -177,12 +172,23 @@ class Graph:
     # -- structure ---------------------------------------------------------
 
     def _edge_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row of every CSR slot, and the mask of the slots with row < col.
-
-        CSR order is lexicographic, so edge i is the i-th slot the mask sets.
-        """
+        """The row of every CSR slot, and the mask of the forward slots, those
+        with row < col: CSR order is lexicographic, so edge i is the i-th
+        forward slot. `_slot_edges` numbers every slot by this rule."""
         rows = np.repeat(np.arange(self.num_nodes), self.degrees)
         return rows, rows < self.indices
+
+    def _slot_edges(self) -> np.ndarray:
+        """The int64 edge id of every CSR slot: edge i is the i-th forward slot,
+        and a backward slot (r, c) holds edge (c, r), so by the key c * N + r
+        the backward slots are in edge order too."""
+        rows, forward = self._edge_slots()
+        back = np.flatnonzero(~forward)
+        order = np.arange(len(back))
+        ids = np.empty(len(self.indices), dtype=np.int64)
+        ids[forward] = order
+        ids[back[np.argsort(self.indices[back] * self.num_nodes + rows[back])]] = order
+        return ids
 
     def _row_slots(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions in `indices` of the given rows' entries, row by row, and
@@ -219,14 +225,12 @@ class Graph:
         return Graph.__new__(Graph)._set_csr(len(kept), indptr, dst[inside])
 
     def _keep_edges(self, keep: np.ndarray) -> "Graph":
-        """Same nodes, only the edges where the boolean `keep` is set."""
-        n = self.num_nodes
-        rows, forward = self._edge_slots()
-        slots = np.flatnonzero(forward)[keep]  # the kept edges' forward slots
-        u, v = rows[slots], self.indices[slots]
-        # the (u, v) keys are sorted already; the stable sort merges two runs
-        keys = np.sort(np.concatenate((u * n + v, np.sort(v * n + u))), kind="stable")
-        return Graph.__new__(Graph)._store(n, *np.divmod(keys, n))
+        """Same nodes, only the edges where the boolean `keep` is set: a mask of
+        the CSR slots by edge id, so each row keeps its slots' order, and row
+        v ends at the count of kept slots before the parent's row v ends."""
+        kept = keep[self._slot_edges()]
+        indptr = np.concatenate(([0], np.cumsum(kept, dtype=np.int64)))[self.indptr]
+        return Graph.__new__(Graph)._set_csr(self.num_nodes, indptr, self.indices[kept])
 
     # -- dunder ------------------------------------------------------------
 

@@ -38,14 +38,7 @@ def line_graph(g: Graph) -> LineGraphResult:
     if g.num_edges == 0:
         raise GraphError("line graph of an edgeless graph is undefined here")
     n, ends = g.num_edges, g.edge_array
-    # edge id of every CSR slot; along a row the ids ascend with the neighbor.
-    # The forward slots (r < c) are the edges in order; a backward slot (r, c)
-    # is edge (c, r), so by the key c * N + r the backward slots are in order too
-    rows, forward = g._edge_slots()
-    back = np.flatnonzero(~forward)
-    slot_edge = np.empty(2 * n, dtype=np.int64)
-    slot_edge[forward] = np.arange(n)
-    slot_edge[back[np.argsort(g.indices[back] * g.num_nodes + rows[back])]] = np.arange(n)
+    slot_edge = g._slot_edges()  # ascending along each row of g
     gathered = g.degrees[ends].sum(axis=1)  # row e's ids, and e twice
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(gathered - 2, out=indptr[1:])

@@ -483,7 +483,7 @@ def test_row_hashes_are_uint64_splitmix64_sums():
     # row sums wrap mod 2^64 and stay uint64
     g = random_connected_graph(30, seed=4)
     per_node = _mix(np.arange(-15, 15, dtype=np.int64) * 2 ** 58)
-    sums = _row_sums(g, per_node)
+    sums = _row_sums(g, per_node[g.indices])
     assert sums.dtype == np.uint64
     adj = [[] for _ in g.nodes]
     for u, v in g.edges:

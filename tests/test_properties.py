@@ -85,6 +85,21 @@ def test_edge_array_is_built_from_the_csr_arrays(data):
 
 
 @property_test
+@given(edge_lists(min_nodes=1))
+@example((3, []))
+def test_slot_edges_name_the_edge_each_slot_holds(data):
+    n, pairs = data
+    g = Graph(n, pairs)
+    ids, edge_array = g._slot_edges(), g.edge_array
+    assert ids.dtype == np.int64 and ids.shape == g.indices.shape
+    for r in g.nodes:
+        for s in range(g.indptr[r], g.indptr[r + 1]):
+            c = g.indices[s]
+            assert edge_array[ids[s]].tolist() == [min(r, c), max(r, c)]
+    assert (np.bincount(ids, minlength=g.num_edges) == 2).all()
+
+
+@property_test
 @given(edge_lists(), st.data())
 def test_induced_subgraph_matches_reference(data, draw):
     n, pairs = data

@@ -16,7 +16,8 @@ from riccialign import (
     sampling,
 )
 
-from conftest import Reference, random_connected_graph, reference_subgraph_edges, reference_walk
+from conftest import (Reference, random_connected_graph, random_graph, reference_subgraph_edges,
+                      reference_walk)
 
 
 def walked_ids(g, size, seed):
@@ -243,16 +244,24 @@ def test_deletion_hands_the_stream_back_like_per_edge_draws(num_edges, seed, gau
     if gauss_first:  # consumes two draws and leaves gauss_next pending
         assert rng.gauss() == ref.gauss()
     kept = delete_edges_randomly(g, 0.3, rng)
-    assert kept.edges == tuple(e for e in g.edges if ref.random() >= 0.3)
+    want = [e for e in g.edges if ref.random() >= 0.3]
+    assert kept.edges == tuple(want)
+    assert kept == Graph(g.num_nodes, want)  # the backward slots too
     assert rng.getstate() == ref.getstate()
     assert rng.random() == ref.random()
 
 
-@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-def test_deletion_leaves_the_state_of_per_edge_draws_at_any_p(lifted_torus, p):
+# a path's backward slots are in edge order, the torus's and the random graph's are not
+@pytest.mark.parametrize("p, graph",
+                         [(0.0, "torus"), (0.3, "torus"), (1.0, "torus"), (0.3, "random")],
+                         ids=["0.0", "0.3", "1.0", "random-0.3"])
+def test_deletion_leaves_the_state_of_per_edge_draws_at_any_p(lifted_torus, p, graph):
+    g = lifted_torus if graph == "torus" else random_graph(40, 0.2, 3)
     rng, ref = RngHandle(5), random.Random(5)
-    kept = delete_edges_randomly(lifted_torus, p, rng)
-    assert kept.edges == tuple(e for e in lifted_torus.edges if ref.random() >= p)
+    kept = delete_edges_randomly(g, p, rng)
+    want = [e for e in g.edges if ref.random() >= p]
+    assert kept.edges == tuple(want)
+    assert kept == Graph(g.num_nodes, want)
     assert rng.getstate() == ref.getstate()
 
 

@@ -21,8 +21,8 @@ from riccialign import (
     line_graph,
 )
 
-from conftest import (dense_laplacian, labeled_signature_vector, random_connected_graph,
-                      random_graph)
+from conftest import (dense_laplacian, edge_array_reads, labeled_signature_vector,
+                      random_connected_graph, random_graph)
 
 
 def test_laplacian_k2():
@@ -89,6 +89,13 @@ def test_identity_on_torus_and_line_graphs(lifted_torus):
     assert curvature_laplacian_holds(lifted_torus)
     assert curvature_laplacian_holds(line_graph(from_edge_list([(0, 1), (0, 2), (1, 2)])).graph)
     assert curvature_laplacian_holds(line_graph(from_edge_list([(0, 1), (0, 2), (0, 3)])).graph)
+
+
+def test_identity_check_reads_the_edge_list_once(lifted_torus):
+    # Ric is summed over the CSR slots by edge id: edge_curvatures makes the one read
+    with edge_array_reads() as reads:
+        assert curvature_laplacian_holds(lifted_torus)
+    assert len(reads) == 1 and reads[0] is lifted_torus
 
 
 def test_laplacian_action_matches_neighbor_degree_differences():
