@@ -9,8 +9,9 @@ are compared by Euclidean distance and matched with an exact minimum-cost
 assignment solver. When both graphs have the same multiset of rows (G2 an
 unchanged or relabelled copy of G1), `align()` reads a zero-cost optimum off
 the rows instead, without building the cost matrix: a 64-bit row hash
-proposes the pairing and the sorted CSR values check it exactly; only after
-a hash collision do the dense rows' void keys decide.
+proposes the pairing and the sorted CSR values check it exactly, G2's sorted
+straight into the paired order; only after a hash collision do the dense
+rows' void keys decide.
 """
 
 from __future__ import annotations
@@ -65,23 +66,28 @@ def common_max_degree(g1: Graph, g2: Graph) -> int:
     return max(g1.max_degree(), g2.max_degree())
 
 
-def _sorted_values(g: Graph, features) -> np.ndarray:
-    """The features of g's CSR entries, int64, with each row's run sorted."""
+def _sorted_values(g: Graph, features, rows=None) -> np.ndarray:
+    """The features of g's CSR entries, int64, with each row's run sorted;
+    given `rows`, a permutation of g's nodes, the runs come in that order, as
+    if gathered at ``g._row_slots(rows)[0]``."""
     n, deg = g.num_nodes, g.degrees
+    order = np.arange(n) if rows is None else rows
     vals = np.asarray(features, dtype=np.int64)[g.indices]
     low = int(vals.min(initial=0))
     span = int(vals.max(initial=0)) - low + 1
     if n * span >= 2 ** 63:
         raise GraphError("signature features span too wide a range for int64 sort keys")
-    # one sort of the keys owner * span + (value - low) sorts every row at
-    # once; owners stay ascending, so the sorted keys are still in CSR order.
-    # Every key is below n * span, so int32 keys are exact when that fits
+    # one sort of the keys place * span + (value - low), place being the
+    # owner's position in `order`, sorts every row and puts the runs in that
+    # order. Keys are below n * span, so int32 keys are exact when that fits
     dtype = np.int32 if n * span < 2 ** 31 else np.int64
-    base = np.repeat(np.arange(n, dtype=dtype) * span, deg)
+    step = np.arange(n, dtype=dtype) * span
+    place = np.empty_like(step)
+    place[order] = step
     vals -= low
-    keys = np.add(base, vals, dtype=dtype)
+    keys = np.add(np.repeat(place, deg), vals, dtype=dtype)
     keys.sort()
-    keys -= base
+    keys -= np.repeat(step, deg[order])
     np.add(keys, low, out=vals, dtype=np.int64)
     return vals
 
@@ -253,8 +259,10 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
 
     The equal-multiset test reads the CSR values, not dense rows: a row hash
     proposes the pairing, which stands if every node has its image's degree
-    and sorted values; hash groups keep ascending ids, so it is then the
-    ascending-id pairing. When the hashes agree but the check fails (a
+    and sorted values, g2's values being sorted straight into the paired
+    order; hash groups keep ascending ids, so it is then the ascending-id
+    pairing. Only when it fails are the width m, g2's own-order values and
+    the dense rows built. When the hashes agree but the check fails (a
     collision, or rows equal only once zero-padded), the dense rows' void
     keys decide. The result never depends on the hash.
     """
@@ -263,16 +271,15 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
             f"graphs must have equal node counts, got {g1.num_nodes} and {g2.num_nodes}")
     if mode not in ("degree", "ricci"):
         raise GraphError(f"mode must be 'degree' or 'ricci', got {mode!r}")
-    m = common_max_degree(g1, g2)
     f1, f2 = (g1.degrees, g2.degrees) if mode == "degree" else \
         (node_curvature_array(g1), node_curvature_array(g2))
-    vals1, vals2 = _sorted_values(g1, f1), _sorted_values(g2, f2)
-    dst = _hash_pairing(g1, f1, g2, f2)
+    vals1, dst = _sorted_values(g1, f1), _hash_pairing(g1, f1, g2, f2)
     if dst is not None and np.array_equal(g1.degrees, g2.degrees[dst]) \
-            and np.array_equal(vals1, vals2[g2._row_slots(dst)[0]]):
+            and np.array_equal(vals1, _sorted_values(g2, f2, dst)):
         return _zero_cost(dst)
+    m = common_max_degree(g1, g2)
     sig1 = SignatureMatrix(rows=_fill_rows(g1, m, vals1), mode=mode)
-    sig2 = SignatureMatrix(rows=_fill_rows(g2, m, vals2), mode=mode)
+    sig2 = SignatureMatrix(rows=_fill_rows(g2, m, _sorted_values(g2, f2)), mode=mode)
     equal = None if dst is None else _equal_rows_assignment(sig1.rows, sig2.rows)
     return equal or hungarian(cost_matrix(sig1, sig2))
 

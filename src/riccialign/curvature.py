@@ -28,10 +28,14 @@ def edge_curvatures(g: Graph) -> np.ndarray:
 
 def _row_sums(g: Graph, slot_values: np.ndarray) -> np.ndarray:
     """Every node's sum of `slot_values`, one per CSR slot, over its row, in
-    their dtype (integer sums wrap as it does): one prefix sum."""
-    prefix = np.zeros(len(slot_values) + 1, dtype=slot_values.dtype)
-    np.cumsum(slot_values, out=prefix[1:])
-    return prefix[g.indptr[1:]] - prefix[g.indptr[:-1]]
+    their dtype (integer sums wrap as it does): one `np.add.reduceat` over the
+    nonempty rows' starts, since it gives an empty row its start element and
+    rejects a start at the array's end; an empty row sums to 0."""
+    starts = g.indptr[:-1]
+    full = starts < g.indptr[1:]
+    sums = np.zeros(g.num_nodes, dtype=slot_values.dtype)
+    sums[full] = np.add.reduceat(slot_values, starts[full])
+    return sums
 
 
 def node_curvature_array(g: Graph) -> np.ndarray:
@@ -58,7 +62,7 @@ def curvature_laplacian_residuals(g: Graph) -> np.ndarray:
     tests the curvatures. Row i of L = D - A is zero outside i's closed
     neighbourhood, where s_i equals the degree vector, so
     (L s_i^T)_i = (L deg)_i = deg_i^2 minus the sum of i's neighbours'
-    degrees. Both are one prefix sum over the CSR rows.
+    degrees. Both are row sums over the CSR slots (`_row_sums`).
     """
     ric = _row_sums(g, edge_curvatures(g)[g._slot_edges()])
     deg = g.degrees

@@ -21,7 +21,7 @@ from riccialign import (
     score_alignment,
 )
 
-from conftest import assignment_minimum, random_connected_graph, traced_peak
+from conftest import assignment_minimum, random_connected_graph, random_graph, traced_peak
 
 CLAW = [(0, 1), (0, 2), (0, 3)]
 K3 = [(0, 1), (0, 2), (1, 2)]
@@ -453,6 +453,50 @@ def test_align_does_not_depend_on_the_row_hash(monkeypatch):
         solved = hungarian(cost_matrix(build(Graph(4, K3), 3), build(from_edge_list(CLAW), 3)))
         assert align(Graph(4, K3), from_edge_list(CLAW), mode=mode).mapping == solved.mapping
     assert len(fallbacks) == 4
+
+
+def with_isolated_ends(g: Graph, first: int, last: int) -> Graph:
+    """g after `first` isolated nodes, followed by `last` more."""
+    return Graph(first + g.num_nodes + last, g.edge_array + first)
+
+
+@pytest.mark.parametrize("mode", ["degree", "ricci", "wide"])
+def test_sorted_values_in_a_row_order_equal_the_gathered_ones(mode):
+    from riccialign.alignment import _sorted_values
+    from riccialign.curvature import node_curvature_array
+
+    rng = np.random.default_rng(6)
+    for seed in range(4):
+        g = with_isolated_ends(random_graph(30, 0.15, seed), 2, 3)
+        # "wide" features need int64 sort keys: n * span is above 2^31
+        f = {"degree": g.degrees, "ricci": node_curvature_array(g),
+             "wide": rng.integers(-2 ** 40, 2 ** 40, size=g.num_nodes)}[mode]
+        plain = _sorted_values(g, f)
+        for _ in range(3):
+            p = rng.permutation(g.num_nodes)
+            assert _sorted_values(g, f, rows=p).tolist() == plain[g._row_slots(p)[0]].tolist()
+
+
+def test_align_with_isolated_nodes_at_both_ends_equals_the_void_key_pairing(monkeypatch):
+    import riccialign.alignment as alignment
+    from riccialign.alignment import _equal_rows_assignment
+
+    fallbacks = []
+    monkeypatch.setattr(alignment, "_equal_rows_assignment",
+                        lambda a, b: fallbacks.append(1) or _equal_rows_assignment(a, b))
+    g = with_isolated_ends(random_connected_graph(40, seed=5), 3, 2)
+    h = relabelled(g, 4)
+    for mode in ("degree", "ricci"):
+        build = degree_matrix if mode == "degree" else ricci_matrix
+        m = common_max_degree(g, h)
+        for g1, g2 in ((g, h), (h, g)):
+            expected = _equal_rows_assignment(build(g1, m).rows, build(g2, m).rows)
+            result = align(g1, g2, mode=mode)
+            assert result.mapping == expected.mapping
+            assert result.total_cost.hex() == expected.total_cost.hex() == (0.0).hex()
+            assert result.row_costs == expected.row_costs
+    # the hash pairing passed its check every time: align never fell back
+    assert not fallbacks
 
 
 def test_align_pairs_rows_that_are_equal_once_zero_padded():

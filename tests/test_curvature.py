@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from riccialign import (
+    Graph,
     curvature_distribution,
     edge_curvatures,
     from_edge_list,
@@ -33,6 +35,31 @@ def test_node_curvature_worked_example(example_graph):
 def test_node_curvature_k2_and_isolated():
     assert node_curvatures(from_edge_list(K2)) == [0, 0]
     assert node_curvatures(from_edge_list([], n=2)) == [0, 0]
+
+
+@pytest.mark.parametrize("n, edges", [
+    (5, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+    (6, [(0, 1), (1, 4), (0, 4), (4, 5)]),
+    (5, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    (4, []),
+    (0, []),
+], ids=["isolated-first", "isolated-middle", "isolated-last", "edgeless", "no-nodes"])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_row_sums_match_per_row_python_sums(n, edges, dtype):
+    from riccialign.curvature import _row_sums
+
+    g = Graph(n, edges)
+    # values over the dtype's whole range, so that row sums wrap
+    info = np.iinfo(dtype)
+    values = np.random.default_rng(n).integers(info.min, info.max, size=len(g.indices),
+                                               dtype=dtype, endpoint=True)
+    sums = _row_sums(g, values)
+    assert sums.dtype == dtype and sums.shape == (n,)
+    ptr = g.indptr.tolist()
+    expected = [sum(values[ptr[v]:ptr[v + 1]].tolist()) % 2 ** 64 for v in range(n)]
+    if dtype == np.int64:
+        expected = [s - 2 ** 64 if s >= 2 ** 63 else s for s in expected]
+    assert sums.tolist() == expected
 
 
 def test_node_curvature_is_integer_when_unweighted():
