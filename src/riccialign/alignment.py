@@ -9,9 +9,9 @@ are compared by Euclidean distance and matched with an exact minimum-cost
 assignment solver. When both graphs have the same multiset of rows (G2 an
 unchanged or relabelled copy of G1), `align()` reads a zero-cost optimum off
 the rows instead, without building the cost matrix: a 64-bit row hash
-proposes the pairing and the sorted CSR values check it exactly, G2's sorted
-straight into the paired order; only after a hash collision do the dense
-rows' void keys decide.
+proposes the pairing and the sort keys of the CSR entries check it exactly,
+G1's in id order against G2's in the paired order, both over one value
+range; only after a hash collision do the dense rows' void keys decide.
 """
 
 from __future__ import annotations
@@ -66,35 +66,45 @@ def common_max_degree(g1: Graph, g2: Graph) -> int:
     return max(g1.max_degree(), g2.max_degree())
 
 
-def _sorted_values(g: Graph, features, rows=None) -> np.ndarray:
-    """The features of g's CSR entries, int64, with each row's run sorted;
-    given `rows`, a permutation of g's nodes, the runs come in that order, as
-    if gathered at ``g._row_slots(rows)[0]``."""
+def _value_range(*pairs) -> tuple[int, int]:
+    """(low, span) with every feature value that a CSR entry of a (graph,
+    features) pair reads in [low, low + span); (0, 1) when none is read."""
+    live = np.concatenate([np.asarray(f, dtype=np.int64)[g.degrees > 0] for g, f in pairs])
+    if not live.size:
+        return 0, 1
+    low = int(live.min())
+    return low, int(live.max()) - low + 1
+
+
+def _sorted_keys(g: Graph, features, low: int, span: int, rows=None) -> np.ndarray:
+    """g's CSR entries as sorted keys place * span + (value - low), place
+    being the owner's position in `rows`, a permutation of g's nodes (default
+    the identity), so the runs come as if gathered at ``g._row_slots(rows)[0]``.
+    Every value read must lie in [low, low + span). Keys are below n * span:
+    int32 when that is below 2^31, else int64."""
     n, deg = g.num_nodes, g.degrees
-    order = np.arange(n) if rows is None else rows
-    vals = np.asarray(features, dtype=np.int64)[g.indices]
-    low = int(vals.min(initial=0))
-    span = int(vals.max(initial=0)) - low + 1
     if n * span >= 2 ** 63:
         raise GraphError("signature features span too wide a range for int64 sort keys")
-    # one sort of the keys place * span + (value - low), place being the
-    # owner's position in `order`, sorts every row and puts the runs in that
-    # order. Keys are below n * span, so int32 keys are exact when that fits
     dtype = np.int32 if n * span < 2 ** 31 else np.int64
     step = np.arange(n, dtype=dtype) * span
     place = np.empty_like(step)
-    place[order] = step
-    vals -= low
-    keys = np.add(np.repeat(place, deg), vals, dtype=dtype)
+    place[np.arange(n) if rows is None else rows] = step
+    # value - low in int64, then narrowed; isolated nodes' features are not read
+    shifted = np.zeros(n, dtype=dtype)
+    live = deg > 0
+    shifted[live] = np.asarray(features, dtype=np.int64)[live] - low
+    keys = np.repeat(place, deg)
+    keys += shifted[g.indices]
     keys.sort()
-    keys -= np.repeat(step, deg[order])
-    np.add(keys, low, out=vals, dtype=np.int64)
-    return vals
+    return keys
 
 
-def _fill_rows(g: Graph, m: int, vals: np.ndarray) -> np.ndarray:
-    """The n x m rows of g's sorted CSR values, zero-padded on the right."""
+def _fill_rows(g: Graph, m: int, keys: np.ndarray, low: int, span: int) -> np.ndarray:
+    """The n x m int64 rows of g's sorted values, zero-padded on the right,
+    from its own-order `_sorted_keys` (`rows=None`) built with low and span."""
     n, deg = g.num_nodes, g.degrees
+    vals = np.subtract(keys, np.repeat(np.arange(n) * span, deg), dtype=np.int64)
+    vals += low
     # CSR entry i goes to slot i - indptr[owner] of its owner's row
     flat = np.arange(len(vals)) + np.repeat(np.arange(n) * m - g.indptr[:-1], deg)
     rows = np.zeros((n, m), dtype=np.int64)
@@ -105,7 +115,8 @@ def _fill_rows(g: Graph, m: int, vals: np.ndarray) -> np.ndarray:
 def _signature_rows(g: Graph, m: int, features) -> np.ndarray:
     if m < g.max_degree():
         raise GraphError(f"width {m} is below the maximum degree {g.max_degree()}")
-    return _fill_rows(g, m, _sorted_values(g, features))
+    low, span = _value_range((g, features))
+    return _fill_rows(g, m, _sorted_keys(g, features, low, span), low, span)
 
 
 def degree_matrix(g: Graph, m: int) -> SignatureMatrix:
@@ -174,9 +185,6 @@ def hungarian(cost) -> Assignment:
     chosen entries by row, and `total_cost` is their correctly rounded sum
     (`math.fsum`), which does not depend on the order of rows or columns.
     """
-    # imported here: scipy.optimize more than triples `import riccialign`
-    from scipy.optimize import linear_sum_assignment
-
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise GraphError(f"cost matrix must be square, got shape {c.shape}")
@@ -184,6 +192,14 @@ def hungarian(cost) -> Assignment:
         raise GraphError("cost matrix contains non-finite entries")
     if c.size and c.min() < 0:
         raise GraphError("cost matrix contains negative entries")
+    return _solve(c)
+
+
+def _solve(c: np.ndarray) -> Assignment:
+    """`hungarian` without its checks, for `cost_matrix`'s output: square,
+    float64, and square roots of exact nonnegative integers."""
+    # imported here: scipy.optimize more than triples `import riccialign`
+    from scipy.optimize import linear_sum_assignment
 
     _, cols = linear_sum_assignment(c)  # rows come back as 0..n-1
     row_costs = c[np.arange(c.shape[0]), cols].tolist()
@@ -257,14 +273,14 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
     `hungarian(cost_matrix(sig1, sig2))` on both signature matrices at the
     common maximum degree, mapping and total bit for bit.
 
-    The equal-multiset test reads the CSR values, not dense rows: a row hash
+    The equal-multiset test reads the CSR entries, not dense rows: a row hash
     proposes the pairing, which stands if every node has its image's degree
-    and sorted values, g2's values being sorted straight into the paired
-    order; hash groups keep ascending ids, so it is then the ascending-id
-    pairing. Only when it fails are the width m, g2's own-order values and
-    the dense rows built. When the hashes agree but the check fails (a
-    collision, or rows equal only once zero-padded), the dense rows' void
-    keys decide. The result never depends on the hash.
+    and g1's sorted keys equal g2's keyed by the paired place, both over the
+    value range of the two graphs; hash groups keep ascending ids, so it is
+    then the ascending-id pairing. Only when it fails are the width m, g2's
+    own-order keys and the dense rows built. When the hashes agree but the
+    check fails (a collision, or rows equal only once zero-padded), the
+    dense rows' void keys decide. The result never depends on the hash.
     """
     if g1.num_nodes != g2.num_nodes:
         raise GraphError(
@@ -273,15 +289,17 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
         raise GraphError(f"mode must be 'degree' or 'ricci', got {mode!r}")
     f1, f2 = (g1.degrees, g2.degrees) if mode == "degree" else \
         (node_curvature_array(g1), node_curvature_array(g2))
-    vals1, dst = _sorted_values(g1, f1), _hash_pairing(g1, f1, g2, f2)
+    low, span = _value_range((g1, f1), (g2, f2))
+    keys1, dst = _sorted_keys(g1, f1, low, span), _hash_pairing(g1, f1, g2, f2)
     if dst is not None and np.array_equal(g1.degrees, g2.degrees[dst]) \
-            and np.array_equal(vals1, _sorted_values(g2, f2, dst)):
+            and np.array_equal(keys1, _sorted_keys(g2, f2, low, span, rows=dst)):
         return _zero_cost(dst)
     m = common_max_degree(g1, g2)
-    sig1 = SignatureMatrix(rows=_fill_rows(g1, m, vals1), mode=mode)
-    sig2 = SignatureMatrix(rows=_fill_rows(g2, m, _sorted_values(g2, f2)), mode=mode)
+    sig1 = SignatureMatrix(rows=_fill_rows(g1, m, keys1, low, span), mode=mode)
+    sig2 = SignatureMatrix(rows=_fill_rows(g2, m, _sorted_keys(g2, f2, low, span), low, span),
+                           mode=mode)
     equal = None if dst is None else _equal_rows_assignment(sig1.rows, sig2.rows)
-    return equal or hungarian(cost_matrix(sig1, sig2))
+    return equal or _solve(cost_matrix(sig1, sig2))
 
 
 def score_alignment(a: Assignment) -> tuple[int, float]:

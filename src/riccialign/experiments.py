@@ -176,7 +176,7 @@ def run_ppi_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the sampled line-graph alignment experiment: `build_universe`,
     then `run_round` for rounds 1..cfg.rounds, and their mean percentage."""
     universe = build_universe(cfg)
-    # hungarian's first call would import scipy.optimize (about half a second)
+    # the solver's first call would import scipy.optimize (about half a second)
     # inside round 1's timer; at p=0 G2 is G1 and no round solves, so no import
     if cfg.deletion_probability > 0:
         import scipy.optimize  # noqa: F401

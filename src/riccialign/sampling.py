@@ -96,10 +96,10 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
             stagnant = 0
         else:
             stagnant += 1
-        if stagnant >= max_stagnant:
-            nxt = rng.choice(sorted(set(range(n)).difference(visited)))
-            visited[nxt] = None
-            stagnant = 0
+            if stagnant >= max_stagnant:
+                nxt = rng.choice(sorted(set(range(n)).difference(visited)))
+                visited[nxt] = None
+                stagnant = 0
         current = nxt
 
     return g.induced_subgraph(np.fromiter(visited, dtype=np.int64, count=len(visited)))

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riccialign import (
@@ -140,8 +140,11 @@ _ENTRIES = st.one_of(st.just(0), st.integers(-60, 60))
     st.just(m),
     st.lists(st.lists(_ENTRIES, min_size=m, max_size=m), max_size=9),
     st.lists(st.lists(_ENTRIES, min_size=m, max_size=m), max_size=9))))
+@example((1, [[2 ** 29]], [[-2 ** 29]]))  # 4S = 2^60: the int64 product
 def test_cost_matrix_matches_exact_reference(data):
-    # mixed signs, zeros anywhere in a row (all-zero rows too), unequal row counts
+    # mixed signs, zeros anywhere in a row (all-zero rows too), unequal row
+    # counts. align hands this output to the solver unchecked (`_solve`):
+    # equal to the exact reference, it is finite and nonnegative float64
     m, rows1, rows2 = data
     c = cost_matrix(_signature(rows1, m), _signature(rows2, m))
     _assert_bitwise_equal(c, _exact_costs(rows1, rows2))
@@ -358,8 +361,8 @@ def test_align_equal_row_multisets_skip_the_cost_matrix_and_solver(monkeypatch):
         raise AssertionError("equal row multisets need no cost matrix or solver")
 
     monkeypatch.setattr(alignment, "cost_matrix", unexpected)
-    monkeypatch.setattr(alignment, "hungarian", unexpected)
-    # the hash pairing is checked on the CSR values: no dense row is built
+    monkeypatch.setattr(alignment, "_solve", unexpected)
+    # the hash pairing is checked on the CSR sort keys: no dense row is built
     monkeypatch.setattr(alignment, "_fill_rows", unexpected)
     g = random_connected_graph(60, seed=3)
     for mode in ("degree", "ricci"):
@@ -413,21 +416,23 @@ def test_align_falls_back_to_hungarian_when_multisets_differ():
 
 def test_align_reaches_the_solver_when_sums_match_but_rows_differ(monkeypatch):
     import riccialign.alignment as alignment
+    from riccialign.alignment import _solve
 
     # K3 plus an isolated node against the claw: equal sums of deg * f in
     # both modes (12 and -24), unequal rows
     k3, claw = Graph(4, K3), from_edge_list(CLAW)
     calls = []
-    monkeypatch.setattr(alignment, "hungarian", lambda c: calls.append(c) or hungarian(c))
+    monkeypatch.setattr(alignment, "_solve", lambda c: calls.append(c) or _solve(c))
     for mode in ("degree", "ricci"):
         build = degree_matrix if mode == "degree" else ricci_matrix
         sig1, sig2 = build(k3, 3), build(claw, 3)
         assert sig1.rows.sum() == sig2.rows.sum()
-        solved = hungarian(cost_matrix(sig1, sig2))
+        solved = hungarian(cost_matrix(sig1, sig2))  # hungarian calls _solve too
+        before = len(calls)
         result = align(k3, claw, mode=mode)
+        assert len(calls) == before + 1
         assert result.mapping == solved.mapping
         assert result.row_costs == solved.row_costs and result.total_cost > 0.0
-    assert len(calls) == 2
 
 
 def test_align_does_not_depend_on_the_row_hash(monkeypatch):
@@ -460,21 +465,50 @@ def with_isolated_ends(g: Graph, first: int, last: int) -> Graph:
     return Graph(first + g.num_nodes + last, g.edge_array + first)
 
 
-@pytest.mark.parametrize("mode", ["degree", "ricci", "wide"])
-def test_sorted_values_in_a_row_order_equal_the_gathered_ones(mode):
-    from riccialign.alignment import _sorted_values
+# "wide" features need int64 sort keys: n * span is above 2^31. "high" and
+# "low" sit near +-2^62 with a small span, so their keys are int32, and their
+# isolated nodes' features, never read, lie at the far end of int64
+@pytest.mark.parametrize("mode", ["degree", "ricci", "wide", "high", "low"])
+def test_sorted_keys_in_a_row_order_equal_the_gathered_ones(mode):
+    from riccialign.alignment import _sorted_keys, _value_range
     from riccialign.curvature import node_curvature_array
 
     rng = np.random.default_rng(6)
     for seed in range(4):
         g = with_isolated_ends(random_graph(30, 0.15, seed), 2, 3)
-        # "wide" features need int64 sort keys: n * span is above 2^31
+        n = g.num_nodes
         f = {"degree": g.degrees, "ricci": node_curvature_array(g),
-             "wide": rng.integers(-2 ** 40, 2 ** 40, size=g.num_nodes)}[mode]
-        plain = _sorted_values(g, f)
-        for _ in range(3):
-            p = rng.permutation(g.num_nodes)
-            assert _sorted_values(g, f, rows=p).tolist() == plain[g._row_slots(p)[0]].tolist()
+             "wide": rng.integers(-2 ** 40, 2 ** 40, size=n),
+             "high": 2 ** 62 + rng.integers(-50, 50, size=n),
+             "low": -2 ** 62 + rng.integers(-50, 50, size=n)}[mode]
+        if mode in ("high", "low"):
+            f[g.degrees == 0] = -2 ** 63 if mode == "high" else 2 ** 63 - 1
+        low, span = _value_range((g, f))
+        adj = [[] for _ in range(n)]
+        for u, v in g.edges:
+            adj[u].append(int(f[v]))
+            adj[v].append(int(f[u]))
+        for p in [np.arange(n)] + [rng.permutation(n) for _ in range(3)]:
+            keys = _sorted_keys(g, f, low, span, rows=p)
+            assert keys.dtype == (np.int64 if mode == "wide" else np.int32)
+            assert keys.tolist() == [i * span + x - low for i, v in enumerate(p.tolist())
+                                     for x in sorted(adj[v])]
+
+
+def test_align_checks_the_pairing_in_the_value_range_of_both_graphs(monkeypatch):
+    import riccialign.alignment as alignment
+
+    # two disjoint edges; G1's rows are [1], [0], [1], [0] and G2's [2], [-1],
+    # [1], [0]. Keyed in G1's range alone (low 0, span 2), G2's keys under
+    # the identity pairing, 2, 1, 5, 6, would sort to G1's 1, 2, 5, 6
+    g1, g2 = Graph(4, [(0, 1), (2, 3)]), Graph(4, [(0, 1), (2, 3)])
+    features = {id(g1): np.array([0, 1, 0, 1]), id(g2): np.array([-1, 2, 0, 1])}
+    monkeypatch.setattr(alignment, "node_curvature_array", lambda g: features[id(g)])
+    monkeypatch.setattr(alignment, "_hash_pairing", lambda *args: np.arange(4))
+    solved = hungarian(cost_matrix(ricci_matrix(g1, 1), ricci_matrix(g2, 1)))
+    result = align(g1, g2)
+    assert result.mapping == solved.mapping
+    assert result.total_cost == solved.total_cost > 0.0
 
 
 def test_align_with_isolated_nodes_at_both_ends_equals_the_void_key_pairing(monkeypatch):

@@ -252,7 +252,7 @@ def test_align_command_on_a_relabelled_copy_builds_no_cost_matrix(
         raise AssertionError("equal row multisets need no cost matrix or solver")
 
     monkeypatch.setattr(alignment, "cost_matrix", unexpected)
-    monkeypatch.setattr(alignment, "hungarian", unexpected)
+    monkeypatch.setattr(alignment, "_solve", unexpected)
     perm = np.random.default_rng(5).permutation(lifted_torus.num_nodes).tolist()
     copy = Graph(lifted_torus.num_nodes, [(perm[u], perm[v]) for u, v in lifted_torus.edges])
     paths = tmp_path / "g1.edges", tmp_path / "g2.edges"

@@ -56,7 +56,7 @@ def test_torus_experiment_builds_no_cost_matrix(monkeypatch):
     expected = run_torus_experiment()
     for module in (alignment, experiments):  # also any name bound by import
         monkeypatch.setattr(module, "cost_matrix", unexpected, raising=False)
-        monkeypatch.setattr(module, "hungarian", unexpected, raising=False)
+        monkeypatch.setattr(module, "_solve", unexpected, raising=False)
     report = run_torus_experiment()
     assert asdict(report) == asdict(expected)
     assert report.class_curvatures == (-56, -40, -28)

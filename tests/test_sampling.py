@@ -244,6 +244,8 @@ def test_deletion_hands_the_stream_back_like_per_edge_draws(num_edges, seed, gau
     if gauss_first:  # consumes two draws and leaves gauss_next pending
         assert rng.gauss() == ref.gauss()
     kept = delete_edges_randomly(g, 0.3, rng)
+    if num_edges == 0:  # every edge kept: the graph itself
+        assert kept is g
     want = [e for e in g.edges if ref.random() >= 0.3]
     assert kept.edges == tuple(want)
     assert kept == Graph(g.num_nodes, want)  # the backward slots too
