@@ -274,13 +274,13 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
     common maximum degree, mapping and total bit for bit.
 
     The equal-multiset test reads the CSR entries, not dense rows: a row hash
-    proposes the pairing, which stands if every node has its image's degree
-    and g1's sorted keys equal g2's keyed by the paired place, both over the
-    value range of the two graphs; hash groups keep ascending ids, so it is
-    then the ascending-id pairing. Only when it fails are the width m, g2's
-    own-order keys and the dense rows built. When the hashes agree but the
-    check fails (a collision, or rows equal only once zero-padded), the
-    dense rows' void keys decide. The result never depends on the hash.
+    proposes the pairing, which stands if g1's sorted keys equal g2's keyed
+    by the paired place, both over the value range of the two graphs; hash
+    groups keep ascending ids, so it is then the ascending-id pairing. Only
+    when it fails are the width m, g2's own-order keys and the dense rows
+    built. When the hashes agree but the check fails (a collision, or rows
+    equal only once zero-padded), the dense rows' void keys decide. The
+    result never depends on the hash.
     """
     if g1.num_nodes != g2.num_nodes:
         raise GraphError(
@@ -291,8 +291,7 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
         (node_curvature_array(g1), node_curvature_array(g2))
     low, span = _value_range((g1, f1), (g2, f2))
     keys1, dst = _sorted_keys(g1, f1, low, span), _hash_pairing(g1, f1, g2, f2)
-    if dst is not None and np.array_equal(g1.degrees, g2.degrees[dst]) \
-            and np.array_equal(keys1, _sorted_keys(g2, f2, low, span, rows=dst)):
+    if dst is not None and np.array_equal(keys1, _sorted_keys(g2, f2, low, span, rows=dst)):
         return _zero_cost(dst)
     m = common_max_degree(g1, g2)
     sig1 = SignatureMatrix(rows=_fill_rows(g1, m, keys1, low, span), mode=mode)

@@ -55,10 +55,10 @@ class ExperimentConfig:
             raise GraphError(f"input_path must be a str or os.PathLike, got {self.input_path!r}")
         _check_integers(**{name: getattr(self, name) for name in
                            ("intermediate_sample_size", "subgraph_size", "rounds", "seed")})
-        if self.subgraph_size > self.intermediate_sample_size:
-            raise GraphError("subgraph_size must not exceed intermediate_sample_size")
-        if self.subgraph_size <= 0:
-            raise GraphError("subgraph_size must be positive")
+        # build_universe checks subgraph_size against the line graph a round samples
+        for name in ("intermediate_sample_size", "subgraph_size"):
+            if getattr(self, name) <= 0:
+                raise GraphError(f"{name} must be positive")
         _check_probability(self.deletion_probability)
         if self.rounds < 1:
             raise GraphError("rounds must be >= 1")

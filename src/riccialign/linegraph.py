@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 _CHUNK_ENTRIES = 2**16  # the most ids one chunk of line_graph gathers and sorts
 
@@ -35,8 +35,6 @@ def line_graph(g: Graph) -> LineGraphResult:
     Memory is the result's ``indptr`` and ``indices`` plus one chunk, with no
     constructor sort; its ``edge_array`` is only built if it is read.
     """
-    if g.num_edges == 0:
-        raise GraphError("line graph of an edgeless graph is undefined here")
     n, ends = g.num_edges, g.edge_array
     slot_edge = g._slot_edges()  # ascending along each row of g
     gathered = g.degrees[ends].sum(axis=1)  # row e's ids, and e twice

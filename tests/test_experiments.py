@@ -25,7 +25,7 @@ from riccialign import (
 )
 from riccialign.experiments import load_graph, random_connected_graph
 
-from conftest import is_connected, paper_config, write_edge_list
+from conftest import is_connected, paper_config, recording_align, write_edge_list
 
 
 def test_torus_experiment_classes():
@@ -88,8 +88,11 @@ def test_cle_verification_counts_must_be_integers(field, value):
 
 
 def test_config_validation(tmp_path):
-    with pytest.raises(GraphError):
-        ExperimentConfig(input_path="x", intermediate_sample_size=10, subgraph_size=20)
+    # a round samples the intermediate sample's line graph, which can be larger
+    ExperimentConfig(input_path="x", intermediate_sample_size=10, subgraph_size=20)
+    for size in (0, -1):
+        with pytest.raises(GraphError, match="^intermediate_sample_size"):
+            ExperimentConfig(input_path="x", intermediate_sample_size=size)
     with pytest.raises(GraphError):
         ExperimentConfig(input_path="x", deletion_probability=1.5)
     with pytest.raises(GraphError):
@@ -198,6 +201,15 @@ def test_zero_deletion_run_never_imports_scipy_optimize(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_round_size_may_exceed_the_intermediate_sample(small_network):
+    # 60 walk nodes span a line graph of 315 nodes, so 100-node rounds fit
+    cfg = _small_config(small_network, intermediate_sample_size=60, subgraph_size=100)
+    with recording_align() as rounds:
+        report = run_ppi_experiment(cfg)
+    assert len(report.per_round) == len(rounds) == 3
+    assert all(g1.num_nodes == 100 for g1, _, _ in rounds)
+
+
 def test_ppi_experiment_is_seed_deterministic(small_network):
     first = run_ppi_experiment(_small_config(small_network))
     second = run_ppi_experiment(_small_config(small_network))
@@ -239,6 +251,17 @@ def test_ppi_experiment_rejects_oversized_intermediate(small_network):
     cfg = _small_config(small_network, intermediate_sample_size=10**6, subgraph_size=100)
     for run in (build_universe, run_ppi_experiment):
         with pytest.raises(ExperimentError):
+            run(cfg)
+
+
+def test_ppi_experiment_rejects_an_edgeless_input(tmp_path):
+    # the walk's line graph has no nodes, so no round size fits in it
+    path = tmp_path / "edgeless.edges"
+    write_edge_list(from_edge_list([], n=20), path)
+    cfg = ExperimentConfig(input_path=str(path), intermediate_sample_size=10,
+                           subgraph_size=5, rounds=1, seed=0)
+    for run in (build_universe, run_ppi_experiment):
+        with pytest.raises(ExperimentError, match="0 nodes"):
             run(cfg)
 
 

@@ -12,7 +12,7 @@ def test_every_exported_name_resolves():
 
 
 def test_import_does_not_load_scipy():
-    # hungarian imports scipy.optimize when first called; importing the
+    # _solve imports scipy.optimize when first called; importing the
     # package (and so every `rmc` command) must not pay for it
     src = str(Path(riccialign.__file__).resolve().parents[1])
     env = {**os.environ,

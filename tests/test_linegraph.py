@@ -3,7 +3,6 @@ import pytest
 
 from riccialign import (
     Graph,
-    GraphError,
     RngHandle,
     align,
     delete_edges_randomly,
@@ -44,9 +43,9 @@ def test_line_graph_of_k4():
     assert result.graph.num_edges == 12
 
 
-def test_line_graph_rejects_edgeless_graph():
-    with pytest.raises(GraphError):
-        line_graph(from_edge_list([], n=4))
+def test_line_graph_of_an_edgeless_graph_is_empty():
+    for n in (0, 4):
+        assert line_graph(Graph(n, [])).graph == Graph(0, [])
 
 
 def test_node_count_equals_original_edge_count():
