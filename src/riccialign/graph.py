@@ -180,14 +180,15 @@ class Graph:
 
     def _slot_edges(self) -> np.ndarray:
         """The int64 edge id of every CSR slot: edge i is the i-th forward slot,
-        and a backward slot (r, c) holds edge (c, r), so by the key c * N + r
-        the backward slots are in edge order too."""
-        rows, forward = self._edge_slots()
+        and a backward slot (r, c) holds edge (c, r). Backward slots come in row
+        order, so a stable sort of their columns alone puts them in edge order."""
+        forward = self._edge_slots()[1]
         back = np.flatnonzero(~forward)
+        cols = self.indices[back].astype(np.int16 if self.num_nodes <= 2**15 else np.int64)
         order = np.arange(len(back))
         ids = np.empty(len(self.indices), dtype=np.int64)
         ids[forward] = order
-        ids[back[np.argsort(self.indices[back] * self.num_nodes + rows[back])]] = order
+        ids[back[np.argsort(cols, kind="stable")]] = order  # int16: a radix sort
         return ids
 
     def _row_slots(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,14 +272,15 @@ def load_graphml(path) -> Graph:
     tree, matching names by local name (any namespace, or none). Only the
     first ``<graph>`` element is read: its ``edgedefault``, and inside it node
     ids and edge endpoints; nodes, nested graphs' included, are numbered
-    0..N-1 in document order. After the graph closes, the rest of the
-    document is only checked for well-formedness. Nothing is raised before
-    the whole document has parsed; then the faults are reported in this
-    order: malformed XML (an undefined entity included), no graph, a directed
-    ``edgedefault``, a node without an id, and then each edge in document
-    order, for a directed flag, then a missing endpoint, then an unknown id.
-    Edges may name later nodes. Self-loops and duplicate edges are dropped.
-    A directed declaration (``edgedefault="directed"`` or a per-edge
+    0..N-1 in document order. Edge endpoints are numbered during the pass,
+    with no dict kept per edge; one naming a later node is resolved after it.
+    After the graph closes, the rest of the document is only checked for
+    well-formedness. Nothing is raised before the whole document has parsed;
+    then the faults are reported in this order: malformed XML (an undefined
+    entity included), no graph, a directed ``edgedefault``, a node without an
+    id, and then each edge in document order, for a directed flag, then a
+    missing endpoint, then an unknown id. Self-loops and duplicate edges are
+    dropped. A directed declaration (``edgedefault="directed"`` or a per-edge
     ``directed="true"``) raises DirectedGraphError.
     """
     path = Path(path)
@@ -287,7 +289,8 @@ def load_graphml(path) -> Graph:
     parser = expat.ParserCreate(namespace_separator="}")  # names read "uri}local"
     names: dict = {}  # expat name -> local name, filled on first sight
     ids: dict[str, int] = {}
-    edges: list[dict] = []  # each edge's attributes, in document order
+    ends: list = []  # two per edge: a node's number, else its raw id or None
+    directed: set[int] = set()  # the document-order numbers of the directed edges
     graph_attrs = undefined = None  # the first graph's attributes; a skipped entity
     anonymous = False  # a node without an id was met
     depth = 0  # elements open inside the graph, itself included
@@ -311,7 +314,10 @@ def load_graphml(path) -> Graph:
             else:
                 ids.setdefault(raw, len(ids))
         elif local == "edge":
-            edges.append(attrs)
+            src, dst = attrs.get("source"), attrs.get("target")
+            ends.extend((ids.get(src, src), ids.get(dst, dst)))
+            if "directed" in attrs and attrs["directed"].lower() == "true":
+                directed.add(len(ends) // 2 - 1)
 
     def close(name):
         nonlocal depth
@@ -341,19 +347,21 @@ def load_graphml(path) -> Graph:
     if anonymous:
         raise GraphMLError("node element without id attribute")
 
-    ends: list[int] = []  # endpoints, two per edge
-    for attrs in edges:
-        if attrs.get("directed", "false").lower() == "true":
-            raise DirectedGraphError(f"{path} contains a directed edge")
-        src, dst = attrs.get("source"), attrs.get("target")
-        if src is None or dst is None:
-            raise GraphMLError("edge element without source/target")
-        u, v = ids.get(src), ids.get(dst)
-        if u is None or v is None:
-            raise GraphMLError(f"edge references unknown node id {src!r} or {dst!r}")
-        if u != v:  # distinct ids number distinct nodes: a self-loop is skipped
-            ends += (u, v)
-    return Graph(len(ids), np.array(ends, dtype=np.int64).reshape(-1, 2))
+    kinds = set(map(type, ends))
+    if str in kinds:  # ids of later nodes, which are numbered now
+        ends = [ids.get(end, end) for end in ends]
+        kinds = set(map(type, ends))
+    if directed or kinds - {int}:  # some edge is at fault: find the first
+        for i, pair in enumerate(zip(ends[::2], ends[1::2])):
+            if i in directed:
+                raise DirectedGraphError(f"{path} contains a directed edge")
+            if None in pair:
+                raise GraphMLError("edge element without source/target")
+            if str in map(type, pair):
+                src, dst = (list(ids)[end] if type(end) is int else end for end in pair)
+                raise GraphMLError(f"edge references unknown node id {src!r} or {dst!r}")
+    arr = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    return Graph(len(ids), arr[arr[:, 0] != arr[:, 1]])  # self-loops skipped
 
 
 # -- plain edge-list text format --------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .graph import Graph
 
-_CHUNK_ENTRIES = 2**16  # the most ids one chunk of line_graph gathers and sorts
+_CHUNK_ENTRIES = 2**14  # the most ids one chunk of line_graph gathers and sorts
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,10 @@ def line_graph(g: Graph) -> LineGraphResult:
     Row e = (a, b) of L(G) merges the ids of the edges at a and at b, less e
     itself: deg(a) + deg(b) - 2 entries. The CSR arrays are written directly,
     in chunks of whole rows that gather at most ``_CHUNK_ENTRIES`` ids (or one
-    longer row) and order them by one sort. Time is quadratic in the largest
-    degree, which is accepted: a degree-d node emits d-choose-2 clique edges.
-    Memory is the result's ``indptr`` and ``indices`` plus one chunk, with no
-    constructor sort; its ``edge_array`` is only built if it is read.
+    longer row) and order them by one sort in place. Time is quadratic in the
+    largest degree, which is accepted: a degree-d node emits d-choose-2 clique
+    edges. Memory is the result's ``indptr`` and ``indices`` plus one chunk,
+    with no constructor sort; its ``edge_array`` is only built if it is read.
     """
     n, ends = g.num_edges, g.edge_array
     slot_edge = g._slot_edges()  # ascending along each row of g
@@ -49,8 +49,11 @@ def line_graph(g: Graph) -> LineGraphResult:
         ids = slot_edge[g._row_slots(ends[lo:hi].ravel())[0]]
         other = ids != row
         row, ids = row[other], ids[other]
-        # one stable sort of row-major keys merges each row's two ascending runs
-        ids = np.sort(row * n + ids, kind="stable") - row * n
+        # one stable sort of row-major keys, made in place, merges each row's two runs
+        row *= n
+        ids += row
+        ids.sort(kind="stable")
+        ids -= row
         indices[indptr[lo]:indptr[hi]] = ids
         lo = hi
     return LineGraphResult(graph=Graph.__new__(Graph)._set_csr(n, indptr, indices))

@@ -210,6 +210,31 @@ def test_induced_subgraph_peak_memory_is_about_two_gathered_arrays():
     assert peak < 3 * 8 * gathered
 
 
+def key_sorted_slot_edges(g: Graph) -> np.ndarray:
+    """Every CSR slot's edge id by an argsort of the backward slots' keys
+    c * N + r, the rule `_slot_edges` used before it sorted columns alone."""
+    rows, forward = g._edge_slots()
+    back = np.flatnonzero(~forward)
+    order = np.arange(len(back))
+    ids = np.empty(len(g.indices), dtype=np.int64)
+    ids[forward] = order
+    ids[back[np.argsort(g.indices[back] * g.num_nodes + rows[back])]] = order
+    return ids
+
+
+@pytest.mark.parametrize("n, pairs, seed", [
+    (40, 200, 0), (500, 4000, 1), (2**15, 60_000, 2), (2**15 + 1, 60_000, 3),
+], ids=["small", "n500", "int16-columns", "just-above-int16"])
+def test_slot_edges_match_the_key_argsort(n, pairs, seed):
+    # int16 columns hold every id below 2^15; one node more takes int64 columns
+    ends = np.random.default_rng(seed).integers(0, n, size=(pairs, 2))
+    ends[:50, 0] = n - 1  # the largest id, in rows and in columns
+    g = Graph(n, ends[ends[:, 0] != ends[:, 1]])
+    ids = g._slot_edges()
+    assert ids.dtype == np.int64
+    assert np.array_equal(ids, key_sorted_slot_edges(g))
+
+
 # -- GraphML ----------------------------------------------------------------
 
 MINIMAL_GRAPHML = """<?xml version="1.0"?>
@@ -406,6 +431,46 @@ def test_load_graphml_reports_the_first_bad_edge(tmp_path, edges, error):
     assert caught.type is error
 
 
+def test_load_graphml_resolves_digit_string_forward_references(tmp_path):
+    # "2" and "1" are raw ids until their nodes are met: they are numbered 0
+    # and 1 by document order, never read as the integers 2 and 1
+    path = tmp_path / "digits.graphml"
+    path.write_text("""<graphml><graph edgedefault="undirected">
+        <edge source="2" target="1"/><node id="2"/><node id="1"/>
+      </graph></graphml>""")
+    g = load_graphml(path)
+    assert g.num_nodes == 2
+    assert g.edges == ((0, 1),)
+
+
+def test_load_graphml_loads_an_explicitly_undirected_edge(tmp_path):
+    path = tmp_path / "undirected-edge.graphml"
+    path.write_text(MINIMAL_GRAPHML.replace('target="beta"/>', 'target="beta" directed="false"/>'))
+    assert load_graphml(path).edges == ((0, 1),)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ('<edge source="alpha" target="gamma"/>', "unknown node id 'alpha' or 'gamma'"),
+    ('<edge source="gamma" target="late"/><node id="late"/>', "unknown node id 'gamma' or 'late'"),
+    ('<edge source="alpha" target="gamma"/><edge source="alpha"/>',
+     "unknown node id 'alpha' or 'gamma'"),
+    ('<edge source="alpha" target="gamma"/><edge source="beta" target="late" directed="TRUE"/>'
+     '<node id="late"/>', "unknown node id 'alpha' or 'gamma'"),
+    ('<edge source="alpha"/><edge source="alpha" target="gamma"/>', "without source/target"),
+], ids=["numbered-then-unknown", "unknown-then-forward", "missing-endpoint-after",
+        "directed-after", "missing-endpoint-first"])
+def test_load_graphml_names_the_raw_ids_of_the_first_bad_edge(tmp_path, edges, message):
+    # an endpoint numbered during the parse, or after it, is still named by
+    # its raw id, and an odd edge after an unresolved one is not reached
+    path = tmp_path / "bad-edges.graphml"
+    path.write_text(MINIMAL_GRAPHML.replace('<edge source="alpha" target="beta"/>', edges))
+    with pytest.raises(GraphMLError, match=message) as caught:
+        load_graphml(path)
+    with pytest.raises(GraphMLError) as expected:
+        load_graphml_reference(path)
+    assert (caught.type, str(caught.value)) == (expected.type, str(expected.value))
+
+
 def test_load_graphml_reads_the_surrogate_like_its_generator(ppi_graphml):
     if os.environ.get("RICCIALIGN_PPI_GRAPHML"):
         pytest.skip("the PPI input is a given file, not the seeded surrogate")
@@ -416,6 +481,15 @@ def test_load_graphml_reads_the_surrogate_like_its_generator(ppi_graphml):
         got, want = getattr(loaded, name), getattr(expected, name)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want), name
+
+
+def test_load_graphml_peak_memory_is_a_few_times_the_file(ppi_graphml):
+    # endpoints are kept as node numbers in one list, with no dict per edge
+    if os.environ.get("RICCIALIGN_PPI_GRAPHML"):
+        pytest.skip("the PPI input is a given file, not the seeded surrogate")
+    g, peak = traced_peak(lambda: load_graphml(ppi_graphml))
+    assert g.num_edges > 10_000
+    assert peak <= 6 * ppi_graphml.stat().st_size
 
 
 GRAPH_BODY = '<node id="alpha"/><node id="beta"/><edge source="alpha" target="beta"/>'

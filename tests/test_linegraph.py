@@ -111,6 +111,19 @@ def test_line_graph_peak_memory_is_about_the_output():
     assert peak <= 1.5 * (lg.indptr.nbytes + lg.indices.nbytes)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 2**20])
+def test_line_graph_does_not_depend_on_the_chunk_size(monkeypatch, lifted_torus, chunk):
+    # a chunk is at least one row: 1 gives each row its own chunk, 7 a few short
+    # rows, and 2**20 the whole graph
+    graphs = [random_graph(120, 0.1, seed=6), lifted_torus]
+    expected = [line_graph(g).graph for g in graphs]
+    monkeypatch.setattr(linegraph, "_CHUNK_ENTRIES", chunk)
+    for g, want in zip(graphs, expected):
+        got = line_graph(g).graph
+        assert got == want
+        assert got.indptr.dtype == got.indices.dtype == np.int64
+
+
 def test_a_round_builds_no_edge_list_for_the_universe_or_g2():
     # the walk, induced_subgraph, the deletion and the curvature rows read
     # only the CSR arrays
