@@ -86,8 +86,11 @@ class Graph:
     Attributes
     ----------
     indptr, indices:
-        int64 CSR arrays: the neighbors of v, ascending, are
-        ``indices[indptr[v]:indptr[v + 1]]``.
+        CSR arrays: the neighbors of v, ascending, are
+        ``indices[indptr[v]:indptr[v + 1]]``. ``indptr`` is int64; so is
+        ``indices``, but for a line graph's int32 ids (see ``line_graph``)
+        and the edges kept from one. ``induced_subgraph`` always gives
+        int64, and ``==`` and ``hash`` compare values, not dtypes.
     edge_array:
         int64 (E, 2) array of canonical (min, max) edges in lexicographic
         order, built from the CSR arrays on every read; ``edges`` is the same
@@ -119,7 +122,9 @@ class Graph:
         self._set_csr(n, indptr, cols)
 
     def _set_csr(self, n: int, indptr, indices) -> "Graph":
-        """Set and freeze every field from finished int64 CSR arrays, unchecked."""
+        """Set and freeze every field from finished CSR arrays, unchecked:
+        an int64 ``indptr``, and ``indices`` in int64, or int32 for a line
+        graph's ids and the edges kept from one."""
         self.num_nodes = n
         self.indptr, self.indices = indptr, indices
         indptr.flags.writeable = indices.flags.writeable = False
@@ -146,8 +151,15 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Canonical (min, max) edges in lexicographic order, as Python ints."""
-        return tuple(map(tuple, self.edge_array.tolist()))
+        """Canonical (min, max) edges in lexicographic order, as Python ints.
+
+        Both columns are read through memoryviews and mapped through one list
+        of the node ids, so every pair holds the same int object per node
+        rather than a new int per endpoint."""
+        rows, forward = self._edge_slots()
+        node = list(range(self.num_nodes)).__getitem__
+        return tuple(zip(map(node, memoryview(rows[forward])),
+                         map(node, memoryview(self.indices[forward]))))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -214,9 +226,12 @@ class Graph:
         # only the kept nodes' rows are read, not every parent edge; an entry
         # whose neighbour is not kept gets -1
         slots, ends = self._row_slots(kept)
-        dst = self.indices[slots]
-        del slots  # so that at most two entry-sized arrays are alive at once
-        dst = new_id[dst]
+        # the ids go back into the slots' int64 buffer, so that a line graph's
+        # int32 ids are looked up by an int64 index (an int32 one gathers about
+        # 3x slower) and the subgraph is int64; two entry-sized arrays at most
+        slots[...] = self.indices[slots]
+        dst = new_id[slots]
+        del slots
         # new ids keep the parent order, so the kept entries are in CSR order;
         # on such scattered masks, indices gather faster than a boolean mask
         inside = np.flatnonzero(dst >= 0)
@@ -244,7 +259,8 @@ class Graph:
                 and np.array_equal(self.indices, other.indices))
 
     def __hash__(self):
-        return hash((self.num_nodes, self.indices.tobytes()))
+        # hashed as int64, so that equal graphs hash alike whatever their id dtype
+        return hash((self.num_nodes, self.indices.astype(np.int64, copy=False).tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

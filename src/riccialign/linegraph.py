@@ -15,6 +15,7 @@ import numpy as np
 from .graph import Graph
 
 _CHUNK_ENTRIES = 2**14  # the most ids one chunk of line_graph gathers and sorts
+_INT32_NODES = 2**31  # the most nodes whose ids line_graph stores as int32
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,11 @@ def line_graph(g: Graph) -> LineGraphResult:
     largest degree, which is accepted: a degree-d node emits d-choose-2 clique
     edges. Memory is the result's ``indptr`` and ``indices`` plus one chunk,
     with no constructor sort; its ``edge_array`` is only built if it is read.
+
+    ``indices`` is int32 when the node count is at most ``_INT32_NODES``, else
+    int64; ``indptr`` is int64. A line graph is the pipeline's largest graph
+    and stays alive through every round, so this halves what it keeps. Other
+    graphs keep int64 ids, which numpy gathers by about 3x faster than int32.
     """
     n, ends = g.num_edges, g.edge_array
     slot_edge = g._slot_edges()  # ascending along each row of g
@@ -41,7 +47,7 @@ def line_graph(g: Graph) -> LineGraphResult:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(gathered - 2, out=indptr[1:])
     reach = indptr + 2 * np.arange(n + 1)  # ids gathered before each row
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices = np.empty(indptr[-1], dtype=np.int32 if n <= _INT32_NODES else np.int64)
     lo = 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] + _CHUNK_ENTRIES, "right")) - 1)

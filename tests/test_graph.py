@@ -8,8 +8,12 @@ from riccialign import (
     Graph,
     GraphError,
     GraphMLError,
+    RngHandle,
+    delete_edges_randomly,
     from_edge_list,
+    line_graph,
     load_graphml,
+    random_walk_sample,
     read_edge_list,
 )
 from riccialign.tessellation import TRIANGULAR_RING_EDGES
@@ -197,17 +201,42 @@ def test_induced_subgraph_rejects_foreign_id():
         from_edge_list([(0, 1)]).induced_subgraph({0, 9})
 
 
-def test_induced_subgraph_peak_memory_is_about_two_gathered_arrays():
-    # a walk's subgraph gathers its nodes' whole parent rows and keeps about
-    # a third of the entries: at most the gathered ids and their new ids are
-    # alive at once, no row array or counts beside them
+def assert_induced_subgraph_peak_is_about_two_gathered_arrays(ids):
+    """A walk's subgraph gathers its nodes' whole parent rows and keeps about
+    a third of the entries: at most the gathered ids and their new ids are
+    alive at once, in int64, with no row array or counts beside them."""
     pairs = np.random.default_rng(0).integers(0, 3000, size=(100_000, 2))
     g = Graph(3000, pairs[pairs[:, 0] != pairs[:, 1]])
+    g = Graph.__new__(Graph)._set_csr(3000, g.indptr, g.indices.astype(ids))
     keep = np.random.default_rng(1).permutation(3000)[:1000]
     gathered = g.degrees[keep].sum()
     sub, peak = traced_peak(lambda: g.induced_subgraph(keep))
+    assert sub.indices.dtype == np.int64
     assert 3 * sub.indices.size < 1.2 * gathered
     assert peak < 3 * 8 * gathered
+
+
+def test_induced_subgraph_peak_memory_is_about_two_gathered_arrays():
+    assert_induced_subgraph_peak_is_about_two_gathered_arrays(np.int64)
+
+
+def test_induced_subgraph_of_int32_ids_widens_them_in_the_slot_buffer():
+    # a line graph's int32 ids are copied into the gathered slots' own int64
+    # buffer, so the peak is the int64 parent's
+    assert_induced_subgraph_peak_is_about_two_gathered_arrays(np.int32)
+
+
+def test_edges_of_a_round_g2_cost_about_one_pair_tuple_per_edge(ppi_graphml):
+    # a 2,000-node round's G2 from the paper's universe, as a benchmark round
+    # builds it; its edges are read once per round to relabel it. A pair tuple
+    # and its slot take 64 B; a list of two new ints per edge took about 200 B
+    universe = line_graph(random_walk_sample(load_graphml(ppi_graphml), 1000,
+                                             RngHandle(0))).graph
+    rng = RngHandle(1)
+    g2 = delete_edges_randomly(random_walk_sample(universe, 2000, rng), 0.01, rng)
+    edges, peak = traced_peak(lambda: g2.edges)
+    assert len(edges) == g2.num_edges > 20_000
+    assert peak / g2.num_edges < 128
 
 
 def key_sorted_slot_edges(g: Graph) -> np.ndarray:

@@ -121,7 +121,45 @@ def test_line_graph_does_not_depend_on_the_chunk_size(monkeypatch, lifted_torus,
     for g, want in zip(graphs, expected):
         got = line_graph(g).graph
         assert got == want
-        assert got.indptr.dtype == got.indices.dtype == np.int64
+        # int32 ids and int64 offsets, holding the constructor's values
+        assert got.indptr.dtype == np.int64 and got.indices.dtype == np.int32
+        ref = Graph(got.num_nodes, got.edge_array)
+        assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+
+
+def test_line_graph_ids_are_int32_up_to_the_bound(monkeypatch, lifted_torus):
+    # L(G) has one node per edge of G: at the bound its ids are int32, one
+    # node above it int64; either way the values and the hash are the same
+    n = lifted_torus.num_edges
+    narrow = line_graph(lifted_torus).graph
+    for bound, dtype in ((n, np.int32), (n - 1, np.int64)):
+        monkeypatch.setattr(linegraph, "_INT32_NODES", bound)
+        got = line_graph(lifted_torus).graph
+        assert got.indptr.dtype == np.int64 and got.indices.dtype == dtype
+        assert not got.indices.flags.writeable
+        assert got == narrow and hash(got) == hash(narrow)
+        assert np.array_equal(got.indices, Graph(n, got.edge_array).indices)
+
+
+def test_a_walk_on_int32_ids_samples_what_it_samples_on_int64_ids():
+    # the round's G1 gets int64 ids from either universe, and the same walk
+    universe = line_graph(random_connected_graph(60, seed=4)).graph
+    wide = Graph(universe.num_nodes, universe.edge_array)
+    assert universe.indices.dtype == np.int32 and wide.indices.dtype == np.int64
+    for seed in range(5):
+        got = random_walk_sample(universe, 40, RngHandle(seed))
+        want = random_walk_sample(wide, 40, RngHandle(seed))
+        for name in ("indptr", "indices"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype == np.int64
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_edges_kept_from_a_line_graph_keep_its_int32_ids():
+    universe = line_graph(random_connected_graph(60, seed=4)).graph
+    kept = delete_edges_randomly(universe, 0.3, RngHandle(1))
+    assert 0 < kept.num_edges < universe.num_edges
+    assert kept.indptr.dtype == np.int64 and kept.indices.dtype == np.int32
+    assert kept == Graph(kept.num_nodes, kept.edge_array)
 
 
 def test_a_round_builds_no_edge_list_for_the_universe_or_g2():

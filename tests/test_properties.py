@@ -87,6 +87,28 @@ def test_edge_array_is_built_from_the_csr_arrays(data):
 @property_test
 @given(edge_lists(min_nodes=1))
 @example((3, []))
+def test_edges_are_the_edge_array_as_pairs_of_plain_ints(data):
+    # on the constructor's int64 ids and on a line graph's int32 ids
+    g = Graph(*data)
+    for h in (g, line_graph(g).graph):
+        edges = h.edges
+        assert type(edges) is tuple and edges == tuple(map(tuple, h.edge_array.tolist()))
+        assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int for e in edges)
+
+
+@property_test
+@given(edge_lists(min_nodes=1))
+def test_equal_graphs_hash_alike_across_id_dtypes(data):
+    # a line graph's int32 ids against the int64 ids the constructor stores
+    lg = line_graph(Graph(*data)).graph
+    wide = Graph(lg.num_nodes, lg.edges)
+    assert lg.indices.dtype == np.int32 and wide.indices.dtype == np.int64
+    assert lg == wide and hash(lg) == hash(wide)
+
+
+@property_test
+@given(edge_lists(min_nodes=1))
+@example((3, []))
 def test_slot_edges_name_the_edge_each_slot_holds(data):
     n, pairs = data
     g = Graph(n, pairs)
@@ -242,13 +264,16 @@ def clique_pairs(g):
 
 
 def assert_line_graph_like_the_constructor(g, chunk):
+    """L(g) holds the values the constructor stores for g's clique pairs, with
+    int32 ids and an int64 indptr and edge_array."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linegraph, "_CHUNK_ENTRIES", chunk)
         lg = line_graph(g).graph
-    assert_stored_like_the_constructor(lg)
     ref = Graph(g.num_edges, clique_pairs(g))
-    for name in ("indptr", "indices", "edge_array"):
-        assert np.array_equal(getattr(lg, name), getattr(ref, name))
+    for name, dtype in (("indptr", np.int64), ("indices", np.int32), ("edge_array", np.int64)):
+        got, want = getattr(lg, name), getattr(ref, name)
+        assert got.dtype == dtype and not got.flags.writeable
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
