@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import Graph, GraphError, _integers, load_graphml, read_edge_list
+from .graph import Graph, GraphError, _integer, load_graphml, read_edge_list
 from .curvature import curvature_distribution, curvature_laplacian_holds, node_curvatures
 from .tessellation import triangular_ring_2d, lift_to_3d
 from .linegraph import line_graph
@@ -27,15 +27,6 @@ from .alignment import MODES, align, ricci_matrix, score_alignment
 
 class ExperimentError(RuntimeError):
     """A pipeline stage could not produce what the configuration asked for."""
-
-
-def _check_integers(**values) -> None:
-    """Raise GraphError, naming the field, unless every value is an integer."""
-    for name, value in values.items():
-        try:
-            _integers(value, ())
-        except GraphError as exc:
-            raise GraphError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -53,17 +44,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.input_path, (str, os.PathLike)):
             raise GraphError(f"input_path must be a str or os.PathLike, got {self.input_path!r}")
-        _check_integers(**{name: getattr(self, name) for name in
-                           ("intermediate_sample_size", "subgraph_size", "rounds", "seed")})
         # build_universe checks subgraph_size against the line graph a round samples
-        for name in ("intermediate_sample_size", "subgraph_size"):
-            if getattr(self, name) <= 0:
-                raise GraphError(f"{name} must be positive")
+        for name, low in (("intermediate_sample_size", 1), ("subgraph_size", 1),
+                          ("rounds", 1), ("seed", 0)):
+            _integer(getattr(self, name), name, low)
         _check_probability(self.deletion_probability)
-        if self.rounds < 1:
-            raise GraphError("rounds must be >= 1")
-        if self.seed < 0:
-            raise GraphError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.mode, str) or self.mode not in MODES:
             raise GraphError(f"mode must be one of {sorted(MODES)}, got {self.mode!r}")
 
@@ -160,10 +145,8 @@ def run_round(universe: Graph, cfg: ExperimentConfig, r: int) -> RoundResult:
     """Round r >= 1: one handle seeded cfg.seed + r walks a cfg.subgraph_size-node
     G1 from the universe, then deletes G1's edges with probability
     cfg.deletion_probability to get G2; align, and count fixed points."""
-    _check_integers(r=r)
-    if r < 1:
-        raise GraphError(f"r must be >= 1, got {r}")
-    rng = RngHandle(cfg.seed + r)
+    r = _integer(r, "r", 1)
+    rng = RngHandle(int(cfg.seed) + r)  # in Python ints: a numpy seed would wrap
     start = time.perf_counter()
     g1 = random_walk_sample(universe, cfg.subgraph_size, rng)
     g2 = delete_edges_randomly(g1, cfg.deletion_probability, rng)
@@ -189,8 +172,7 @@ def run_ppi_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def random_connected_graph(n: int, rng: RngHandle, extra_edge_prob: float = 0.15) -> Graph:
     """Seeded connected graph: a random recursive tree plus random extra edges."""
-    if n < 1:
-        raise GraphError(f"need at least one node, got {n}")
+    n = _integer(n, "n", 1)
     edges = [(rng.choice(range(v)), v) for v in range(1, n)]
     for u in range(n):
         for v in range(u + 1, n):
@@ -207,11 +189,7 @@ def run_cle_verification(num_graphs: int = 100, max_n: int = 30,
     the line graphs of the triangle and the claw, then `num_graphs` seeded
     random connected graphs with 2..max_n nodes.
     """
-    _check_integers(num_graphs=num_graphs, max_n=max_n)
-    if num_graphs < 0:
-        raise GraphError(f"num_graphs must be >= 0, got {num_graphs}")
-    if max_n < 2:
-        raise GraphError(f"max_n must be >= 2, got {max_n}")
+    num_graphs, max_n = _integer(num_graphs, "num_graphs", 0), _integer(max_n, "max_n", 2)
     rng = RngHandle(seed)
     checks: list[tuple[str, Graph]] = [
         ("lifted triangular torus", lift_to_3d(triangular_ring_2d())),

@@ -22,6 +22,7 @@ no element tree.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 from pathlib import Path
 from xml.parsers import expat
@@ -41,16 +42,33 @@ class DirectedGraphError(GraphMLError):
     """The GraphML document declares directed edges."""
 
 
-def _integers(values, shape: tuple) -> np.ndarray:
-    """`values` as an int64 array of the given shape (-1: any length).
+def _integer(value, name: str, low: int | None = None) -> int:
+    """A Python or numpy integer (not a bool) as a Python int, with no numpy
+    round trip to wrap it; anything else, or one below `low`, raises
+    GraphError naming `name`."""
+    if isinstance(value, (bool, np.bool_)):
+        raise GraphError(f"{name}: expected integers, not bools")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise GraphError(f"{name}: expected integers, got {value!r}") from None
+    if low is not None and value < low:
+        raise GraphError(f"{name} must be >= {low}, got {value}")
+    return value
 
-    Python and numpy integers are accepted. Bools, floats, strings, None,
-    ragged nesting and any other shape raise GraphError.
+
+def _integers(values, shape: tuple) -> np.ndarray:
+    """`values` as an int64 array of the given shape (-1: any length), for
+    arrays and sequences only; scalars go through `_integer`.
+
+    Python and numpy integers are accepted, each checked by value: one
+    outside int64 raises GraphError naming it. Bools, floats, strings, None,
+    ragged nesting and any other shape raise GraphError too.
     """
     arr = values
     if not isinstance(values, np.ndarray):
         try:
-            if shape and not isinstance(values, (list, tuple)):
+            if not isinstance(values, (list, tuple)):
                 values = list(values)  # sets, ranges, dict views, generators
             arr = np.array(values)
         except (ValueError, TypeError) as exc:
@@ -67,6 +85,8 @@ def _integers(values, shape: tuple) -> np.ndarray:
         raise GraphError(f"expected integers of shape {shape}, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise GraphError(f"expected integers, got dtype {arr.dtype}")
+    if arr.dtype == np.uint64 and arr.size and arr.max() >= 2**63:  # would wrap negative
+        raise GraphError(f"integer {arr.max()} does not fit in int64")
     return arr.astype(np.int64, copy=False)
 
 
@@ -76,8 +96,8 @@ class Graph:
     Parameters
     ----------
     num_nodes:
-        Node count N, a Python or numpy integer (not a bool); nodes are
-        exactly 0..N-1.
+        Node count N, a Python or numpy integer (not a bool) below 2**63;
+        nodes are exactly 0..N-1.
     edges:
         Iterable of id pairs, or an (E, 2) integer array. Pairs are
         canonicalized and deduplicated; self-loops, out-of-range endpoints
@@ -100,9 +120,11 @@ class Graph:
     __slots__ = ("num_nodes", "indptr", "indices")
 
     def __init__(self, num_nodes, edges):
-        n = self.num_nodes = int(_integers(num_nodes, ()))
+        n = self.num_nodes = _integer(num_nodes, "num_nodes")
         if n < 0:
             raise GraphError(f"negative node count {n}")
+        if n >= 2**63:
+            raise GraphError(f"node count {n} does not fit in int64")
 
         arr = _integers(edges, (-1, 2))
         lo = np.minimum(arr[:, 0], arr[:, 1])
@@ -273,7 +295,7 @@ def from_edge_list(pairs, n: int | None = None) -> Graph:
     """
     pairs = _integers(pairs, (-1, 2))
     max_ref = int(pairs.max()) if pairs.size else -1
-    n = max_ref + 1 if n is None else int(_integers(n, ()))
+    n = max_ref + 1 if n is None else _integer(n, "n")
     if 0 <= n <= max_ref:  # a negative n is the constructor's error
         raise GraphError(f"n={n} is smaller than max referenced id {max_ref}")
     return Graph(n, pairs)

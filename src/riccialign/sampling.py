@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-from .graph import Graph, GraphError, _integers
+from .graph import Graph, GraphError, _integer
 
 _thread = threading.local()  # one numpy Mersenne Twister per thread, for the deletion
 _MAX_STAGNANT = 100  # stagnant walk steps before a jump to an unvisited node
@@ -26,8 +26,8 @@ _MAX_STAGNANT = 100  # stagnant walk steps before a jump to an unvisited node
 class RngHandle(random.Random):
     """A ``random.Random`` whose seeds are checked; the same seed replays the same draws.
 
-    Seeds, at construction and on reseed, are Python or numpy integers;
-    anything else, bools included, raises GraphError, and so does a seed
+    Seeds, at construction and on reseed, are Python or numpy integers of any
+    size; anything else, bools included, raises GraphError, and so does a seed
     below 0 (random.Random seeds from the absolute value, so -s would replay s).
 
     A handle is stateful and must not be shared across threads; give each
@@ -35,10 +35,7 @@ class RngHandle(random.Random):
     """
 
     def seed(self, a, version=2):
-        a = int(_integers(a, ()))
-        if a < 0:
-            raise GraphError(f"seed must be >= 0, got {a}")
-        super().seed(a, version)
+        super().seed(_integer(a, "seed", 0), version)
 
     def __reduce__(self):
         # random.Random's calls the class with no seed, which seed() rejects
@@ -75,8 +72,7 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     the walk and the handle's end state are those of one ``choice`` per step.
     The CSR rows are read through memoryviews, which give plain ints.
     """
-    if _integers(size, ()) <= 0:
-        raise GraphError(f"sample size must be positive, got {size}")
+    size = _integer(size, "sample size", 1)
     if size > g.num_nodes:
         raise GraphError(f"sample size {size} exceeds graph size {g.num_nodes}")
 

@@ -493,6 +493,14 @@ def test_ppi_command_rejects_a_negative_seed_before_loading(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [str(2**63 - 1), str(2**64)])
+def test_ppi_command_runs_seeds_beyond_int64(capsys, tmp_path, small_network, seed):
+    out = tmp_path / "report.csv"
+    assert main(["ppi", "--input", str(small_network), "--rounds", "2", "--size", "50",
+                 "--intermediate", "100", "--seed", seed, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_ppi_command_checks_the_config_format_before_any_round(capsys, tmp_path, small_network):
     out = tmp_path / "report.xml"
     assert main(["ppi", "--input", str(small_network), "--rounds", "2", "--size", "50",

@@ -5,6 +5,7 @@ import textwrap
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import riccialign
@@ -72,6 +73,12 @@ def test_random_connected_graph_is_connected_and_seeded():
     assert a == b
     assert is_connected(a)
     assert a.num_nodes == 25
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3", 0])
+def test_random_connected_graph_checks_its_node_count(n):
+    with pytest.raises(GraphError, match="^n"):
+        random_connected_graph(n, RngHandle(0))
 
 
 def test_cle_verification_all_pass():
@@ -208,6 +215,19 @@ def test_round_size_may_exceed_the_intermediate_sample(small_network):
         report = run_ppi_experiment(cfg)
     assert len(report.per_round) == len(rounds) == 3
     assert all(g1.num_nodes == 100 for g1, _, _ in rounds)
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, np.int64(2**63 - 1), 2**64],
+                         ids=["int64-max", "numpy-int64-max", "2**64"])
+def test_seeds_beyond_int64_run_their_rounds(small_network, seed):
+    # round r is seeded seed + r in Python ints, so a numpy seed does not wrap
+    cfg = _small_config(small_network, seed=seed)
+    universe = build_universe(cfg)
+    with recording_align() as rounds:
+        report = run_ppi_experiment(cfg)
+    assert [r.round for r in report.per_round] == [1, 2, 3]
+    for r, (g1, _, _) in enumerate(rounds, start=1):
+        assert g1 == random_walk_sample(universe, cfg.subgraph_size, RngHandle(int(seed) + r))
 
 
 def test_ppi_experiment_is_seed_deterministic(small_network):

@@ -201,6 +201,25 @@ def test_induced_subgraph_rejects_foreign_id():
         from_edge_list([(0, 1)]).induced_subgraph({0, 9})
 
 
+@pytest.mark.parametrize("call, big", [
+    (lambda: Graph(3, np.array([[0, 2**64 - 1]], dtype=np.uint64)), 2**64 - 1),
+    (lambda: _path3().induced_subgraph(np.array([2**63], dtype=np.uint64)), 2**63),
+    (lambda: _path3().induced_subgraph([2**63]), 2**63),
+], ids=["uint64-edges", "uint64-keep", "int-list-keep"])
+def test_ids_beyond_int64_are_named_not_wrapped(call, big):
+    # an int64 cast would read them as negative ids
+    with pytest.raises(GraphError, match=f"^integer {big} does not fit in int64$"):
+        call()
+
+
+@pytest.mark.parametrize("make", [Graph, lambda n, pairs: from_edge_list(pairs, n=n)],
+                         ids=["graph", "from-edge-list"])
+@pytest.mark.parametrize("n", [2**63, np.uint64(2**63), 2**64], ids=["2**63", "uint64", "2**64"])
+def test_node_counts_beyond_int64_are_named(make, n):
+    with pytest.raises(GraphError, match=f"^node count {int(n)} does not fit in int64$"):
+        make(n, [])
+
+
 def assert_induced_subgraph_peak_is_about_two_gathered_arrays(ids):
     """A walk's subgraph gathers its nodes' whole parent rows and keeps about
     a third of the entries: at most the gathered ids and their new ids are

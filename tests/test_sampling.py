@@ -4,6 +4,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from riccialign import (
@@ -44,6 +45,15 @@ def test_rng_handle_rejects_negative_seeds():
     with pytest.raises(GraphError, match="seed must be >= 0"):
         RngHandle(-3)
     assert RngHandle(0).random() == random.Random(0).random()
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, 2**63, 2**70, np.uint64(2**64 - 1)],
+                         ids=["int64-max", "2**63", "2**70", "uint64-max"])
+def test_rng_handle_takes_seeds_of_any_size(seed):
+    # as random.Random does: no seed is wrapped into int64 on the way
+    rng, expected = RngHandle(seed), random.Random(int(seed))
+    assert [rng.random() for _ in range(5)] == [expected.random() for _ in range(5)]
+    assert rng.getstate() == expected.getstate()
 
 
 @pytest.mark.parametrize("bad", [-1, True, 1.5], ids=["negative", "bool", "float"])
@@ -104,6 +114,12 @@ def test_sample_size_validation(lifted_torus):
         random_walk_sample(lifted_torus, 0, RngHandle(0))
     with pytest.raises(GraphError):
         random_walk_sample(lifted_torus, 37, RngHandle(0))
+
+
+def test_sample_size_beyond_int64_is_named_as_too_large(lifted_torus):
+    with pytest.raises(GraphError,
+                       match="^sample size 9223372036854775808 exceeds graph size 36$"):
+        random_walk_sample(lifted_torus, 2**63, RngHandle(0))
 
 
 def test_sample_escapes_components_via_jump(monkeypatch):
