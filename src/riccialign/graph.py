@@ -23,6 +23,7 @@ no element tree.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
 from xml.parsers import expat
@@ -73,12 +74,18 @@ def _integers(values, shape: tuple) -> np.ndarray:
             arr = np.array(values)
         except (ValueError, TypeError) as exc:
             raise GraphError(f"expected integers: {exc}") from exc
-        # numpy reads a bool next to an integer as 0 or 1, so look for them here
+        # numpy reads a bool next to an integer as 0 or 1, and an integer
+        # outside int64 next to others as a float, so look for them here
         leaves = [values]
         for _ in range(arr.ndim):
             leaves = chain.from_iterable(leaves)
-        if arr.dtype.kind in "iu" and not {bool, np.bool_}.isdisjoint(map(type, leaves)):
-            raise GraphError("expected integers, not bools")
+        if arr.dtype.kind in "iu":
+            if not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+                raise GraphError("expected integers, not bools")
+        else:
+            for v in leaves:
+                if isinstance(v, (int, np.integer)) and not -2**63 <= v < 2**63:
+                    raise GraphError(f"integer {v} does not fit in int64")
     if arr.shape == (0,):  # an empty sequence, whose dtype numpy cannot know
         arr = np.empty((0,) + shape[1:], dtype=np.int64)
     if arr.ndim != len(shape) or any(k not in (-1, m) for k, m in zip(shape, arr.shape)):
@@ -96,7 +103,8 @@ class Graph:
     Parameters
     ----------
     num_nodes:
-        Node count N, a Python or numpy integer (not a bool) below 2**63;
+        Node count N, a Python or numpy integer (not a bool) below 2**63 that
+        numpy accepts as an array size;
         nodes are exactly 0..N-1.
     edges:
         Iterable of id pairs, or an (E, 2) integer array. Pairs are
@@ -113,8 +121,9 @@ class Graph:
         int64, and ``==`` and ``hash`` compare values, not dtypes.
     edge_array:
         int64 (E, 2) array of canonical (min, max) edges in lexicographic
-        order, built from the CSR arrays on every read; ``edges`` is the same
-        as a tuple of pairs.
+        order, built from the CSR arrays on every read. ``edges`` is a
+        read-only sequence view of the same pairs, each built as it is read;
+        ``tuple(g.edges)`` builds the tuple.
     """
 
     __slots__ = ("num_nodes", "indptr", "indices")
@@ -139,7 +148,10 @@ class Graph:
         keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
         keys = keys[np.diff(keys, prepend=-1) != 0]
         rows, cols = np.divmod(keys, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        try:
+            indptr = np.zeros(n + 1, dtype=np.int64)
+        except ValueError:  # numpy refuses the size before it allocates
+            raise GraphError(f"node count {n} is too large for an array") from None
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         self._set_csr(n, indptr, cols)
 
@@ -172,16 +184,12 @@ class Graph:
         return edge_array
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Canonical (min, max) edges in lexicographic order, as Python ints.
-
-        Both columns are read through memoryviews and mapped through one list
-        of the node ids, so every pair holds the same int object per node
-        rather than a new int per endpoint."""
+    def edges(self) -> EdgeView:
+        """Canonical (min, max) edges in lexicographic order, as a read-only
+        sequence view of pairs of Python ints: see `EdgeView`.
+        ``tuple(g.edges)`` builds the tuple."""
         rows, forward = self._edge_slots()
-        node = list(range(self.num_nodes)).__getitem__
-        return tuple(zip(map(node, memoryview(rows[forward])),
-                         map(node, memoryview(self.indices[forward]))))
+        return EdgeView(self.num_nodes, rows[forward], self.indices[forward])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -286,6 +294,38 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+
+
+class EdgeView(Sequence):
+    """A graph's edges as a read-only sequence of (u, v) pairs of Python ints,
+    each built as it is read from two id columns. Like the tuple of the pairs,
+    it slices to tuples, equals an equal view or tuple but never a list, and
+    is unhashable."""
+
+    __slots__ = ("_num_nodes", "_rows", "_cols")
+    __hash__ = None
+
+    def __init__(self, num_nodes: int, rows: np.ndarray, cols: np.ndarray):
+        self._num_nodes, self._rows, self._cols = num_nodes, rows, cols
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(EdgeView(self._num_nodes, self._rows[i], self._cols[i]))
+        i = operator.index(i)
+        return int(self._rows[i]), int(self._cols[i])
+
+    def __iter__(self):
+        # through one list of the node ids: one int object per node, not per endpoint
+        node = list(range(self._num_nodes)).__getitem__
+        return zip(map(node, memoryview(self._rows)), map(node, memoryview(self._cols)))
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeView):
+            return all(map(np.array_equal, (self._rows, self._cols), (other._rows, other._cols)))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
 
 def from_edge_list(pairs, n: int | None = None) -> Graph:

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -205,7 +206,10 @@ def test_induced_subgraph_rejects_foreign_id():
     (lambda: Graph(3, np.array([[0, 2**64 - 1]], dtype=np.uint64)), 2**64 - 1),
     (lambda: _path3().induced_subgraph(np.array([2**63], dtype=np.uint64)), 2**63),
     (lambda: _path3().induced_subgraph([2**63]), 2**63),
-], ids=["uint64-edges", "uint64-keep", "int-list-keep"])
+    # numpy reads such a list as float64
+    (lambda: from_edge_list([(0, 1)]).induced_subgraph([1, 2**63]), 2**63),
+    (lambda: Graph(3, [(0, 1), (1, 2**63)]), 2**63),
+], ids=["uint64-edges", "uint64-keep", "int-list-keep", "mixed-list-keep", "mixed-list-edges"])
 def test_ids_beyond_int64_are_named_not_wrapped(call, big):
     # an int64 cast would read them as negative ids
     with pytest.raises(GraphError, match=f"^integer {big} does not fit in int64$"):
@@ -218,6 +222,14 @@ def test_ids_beyond_int64_are_named_not_wrapped(call, big):
 def test_node_counts_beyond_int64_are_named(make, n):
     with pytest.raises(GraphError, match=f"^node count {int(n)} does not fit in int64$"):
         make(n, [])
+
+
+@pytest.mark.parametrize("n", [2**62, 2**63 - 1], ids=["2**62", "int64-max"])
+def test_node_counts_numpy_refuses_are_named(n):
+    # numpy refuses both sizes before it allocates; a count from 2**33 on would
+    # really allocate, so none is tested
+    with pytest.raises(GraphError, match=f"^node count {n} is too large for an array$"):
+        Graph(n, [])
 
 
 def assert_induced_subgraph_peak_is_about_two_gathered_arrays(ids):
@@ -256,6 +268,12 @@ def test_edges_of_a_round_g2_cost_about_one_pair_tuple_per_edge(ppi_graphml):
     edges, peak = traced_peak(lambda: g2.edges)
     assert len(edges) == g2.num_edges > 20_000
     assert peak / g2.num_edges < 128
+    # the relabelling loop: besides the list of pairs it keeps, only the two id
+    # columns and a list of the node ids are alive, not a tuple of every pair
+    perm = list(np.random.default_rng(2).permutation(g2.num_nodes))
+    pairs, peak = traced_peak(lambda: [(perm[u], perm[v]) for u, v in g2.edges])
+    kept = sys.getsizeof(pairs) + sum(map(sys.getsizeof, pairs))
+    assert (peak - kept) / g2.num_edges < 32
 
 
 def key_sorted_slot_edges(g: Graph) -> np.ndarray:

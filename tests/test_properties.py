@@ -9,6 +9,7 @@ does not depend on G2's node ids.
 """
 
 import random
+from collections.abc import Sequence
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +37,7 @@ from riccialign import (
     triangular_ring_2d,
 )
 from riccialign.alignment import _equal_rows_assignment, _signature_rows
+from riccialign.graph import EdgeView
 
 from conftest import (Reference, dense_laplacian, edge_array_reads, edge_pair_count,
                       labeled_signature_vector, reference_subgraph_edges, reference_walk)
@@ -92,8 +94,27 @@ def test_edges_are_the_edge_array_as_pairs_of_plain_ints(data):
     g = Graph(*data)
     for h in (g, line_graph(g).graph):
         edges = h.edges
-        assert type(edges) is tuple and edges == tuple(map(tuple, h.edge_array.tolist()))
+        assert type(edges) is EdgeView and isinstance(edges, Sequence)
+        pairs = tuple(map(tuple, h.edge_array.tolist()))
+        assert edges == pairs and pairs == edges and not edges != pairs
         assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int for e in edges)
+        # the tuple's behaviour: length, items, slices, index and membership
+        assert len(edges) == len(pairs) and tuple(edges) == pairs
+        for i in range(-len(pairs), len(pairs)):
+            assert edges[i] == pairs[i] and type(edges[i][0]) is type(edges[i][1]) is int
+        for k in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2)):
+            assert type(edges[k]) is tuple and edges[k] == pairs[k]
+        for e in pairs:
+            assert e in edges and edges.index(e) == pairs.index(e)
+        assert (-1, -1) not in edges
+        with pytest.raises(IndexError):
+            edges[len(pairs)]
+        # equal to an equal view, of int64 ids too, never to a list or another
+        # tuple; unhashable
+        assert edges == h.edges and edges == Graph(h.num_nodes, edges).edges
+        assert edges != list(pairs) and list(pairs) != edges and edges != pairs + ((0, 0),)
+        with pytest.raises(TypeError):
+            hash(edges)
 
 
 @property_test
