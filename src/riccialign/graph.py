@@ -23,7 +23,6 @@ no element tree.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
 from xml.parsers import expat
@@ -121,9 +120,9 @@ class Graph:
         int64, and ``==`` and ``hash`` compare values, not dtypes.
     edge_array:
         int64 (E, 2) array of canonical (min, max) edges in lexicographic
-        order, built from the CSR arrays on every read. ``edges`` is a
-        read-only sequence view of the same pairs, each built as it is read;
-        ``tuple(g.edges)`` builds the tuple.
+        order, built from the CSR arrays on every read: the one edge form.
+        ``edges`` iterates the same pairs once as Python ints; it is not a
+        sequence, so ``tuple(g.edges)`` builds the tuple.
     """
 
     __slots__ = ("num_nodes", "indptr", "indices")
@@ -184,12 +183,16 @@ class Graph:
         return edge_array
 
     @property
-    def edges(self) -> EdgeView:
-        """Canonical (min, max) edges in lexicographic order, as a read-only
-        sequence view of pairs of Python ints: see `EdgeView`.
-        ``tuple(g.edges)`` builds the tuple."""
+    def edges(self) -> zip:
+        """A new one-pass iterator of the `edge_array` rows as (u, v) pairs of
+        Python ints, through one list of the node ids: one int object per node,
+        not per endpoint. No longer a sequence (the ``EdgeView`` is gone): no
+        length, indexing, ``in`` or equality; write ``tuple(g.edges)`` or
+        ``g.edge_array.tolist()``. Kept for the benchmark's relabel loop only."""
         rows, forward = self._edge_slots()
-        return EdgeView(self.num_nodes, rows[forward], self.indices[forward])
+        node = list(range(self.num_nodes)).__getitem__
+        cols = self.indices[forward]
+        return zip(map(node, memoryview(rows[forward])), map(node, memoryview(cols)))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -296,38 +299,6 @@ class Graph:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 
 
-class EdgeView(Sequence):
-    """A graph's edges as a read-only sequence of (u, v) pairs of Python ints,
-    each built as it is read from two id columns. Like the tuple of the pairs,
-    it slices to tuples, equals an equal view or tuple but never a list, and
-    is unhashable."""
-
-    __slots__ = ("_num_nodes", "_rows", "_cols")
-    __hash__ = None
-
-    def __init__(self, num_nodes: int, rows: np.ndarray, cols: np.ndarray):
-        self._num_nodes, self._rows, self._cols = num_nodes, rows, cols
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(EdgeView(self._num_nodes, self._rows[i], self._cols[i]))
-        i = operator.index(i)
-        return int(self._rows[i]), int(self._cols[i])
-
-    def __iter__(self):
-        # through one list of the node ids: one int object per node, not per endpoint
-        node = list(range(self._num_nodes)).__getitem__
-        return zip(map(node, memoryview(self._rows)), map(node, memoryview(self._cols)))
-
-    def __eq__(self, other):
-        if isinstance(other, EdgeView):
-            return all(map(np.array_equal, (self._rows, self._cols), (other._rows, other._cols)))
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-
 def from_edge_list(pairs, n: int | None = None) -> Graph:
     """Build a graph from id pairs, inferring N = max id + 1 unless given.
 
@@ -350,8 +321,9 @@ def load_graphml(path) -> Graph:
     tree, matching names by local name (any namespace, or none). Only the
     first ``<graph>`` element is read: its ``edgedefault``, and inside it node
     ids and edge endpoints; nodes, nested graphs' included, are numbered
-    0..N-1 in document order. Edge endpoints are numbered during the pass,
-    with no dict kept per edge; one naming a later node is resolved after it.
+    0..N-1 in document order; a repeated node id is not an error but names
+    the node its first element made. Edge endpoints are numbered during the
+    pass, with no dict kept per edge; one naming a later node is resolved after it.
     After the graph closes, the rest of the document is only checked for
     well-formedness. Nothing is raised before the whole document has parsed;
     then the faults are reported in this order: malformed XML (an undefined
@@ -452,7 +424,8 @@ def _edge_list_int(token: str, path, lineno: int) -> int:
 
 
 def read_edge_list(path) -> Graph:
-    """Read the `u v` per-line format, with `#` comments and optional `n=<N>`."""
+    """Read the `u v` per-line format, with `#` comments and optional `n=<N>`;
+    a second `n=` line raises GraphError naming the file and line."""
     path = Path(path)
     n = None
     pairs = []
@@ -462,6 +435,8 @@ def read_edge_list(path) -> Graph:
             if not line:
                 continue
             if line.startswith("n="):
+                if n is not None:
+                    raise GraphError(f"{path}:{lineno}: a second 'n=' header, after n={n}")
                 n = _edge_list_int(line[2:], path, lineno)
                 continue
             parts = line.split()

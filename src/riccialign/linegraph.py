@@ -26,7 +26,7 @@ class LineGraphResult:
 
 
 def line_graph(g: Graph) -> LineGraphResult:
-    """Build L(G), whose node i is the edge ``g.edge_array[i]`` (``g.edges[i]``).
+    """Build L(G), whose node i is the edge ``g.edge_array[i]``.
 
     Row e = (a, b) of L(G) merges the ids of the edges at a and at b, less e
     itself: deg(a) + deg(b) - 2 entries. The CSR arrays are written directly,

@@ -8,6 +8,8 @@ experiments.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .graph import Graph
 
 # Hexagonal ring of triangles: inner hexagon 0..5, outer ring 6..17
@@ -40,7 +42,5 @@ def lift_to_3d(g2d: Graph) -> Graph:
     N' = 2N and |E'| = 2|E| + N.
     """
     n = g2d.num_nodes
-    edges = list(g2d.edges)
-    edges += [(u + n, v + n) for u, v in edges]
-    edges += [(v, v + n) for v in range(n)]
-    return Graph(2 * n, edges)
+    ea, ids = g2d.edge_array, np.arange(n)
+    return Graph(2 * n, np.concatenate((ea, ea + n, np.column_stack((ids, ids + n)))))

@@ -224,7 +224,7 @@ def test_align_command_writes_one_line_per_g1_node(capsys, tmp_path):
 @pytest.mark.parametrize("mode", ["rmc", "dmc"])
 def test_align_command_matches_library(capsys, tmp_path, lifted_torus, mode):
     g1 = lifted_torus
-    g2 = Graph(g1.num_nodes, g1.edges[1:])  # one edge removed
+    g2 = Graph(g1.num_nodes, g1.edge_array[1:])  # one edge removed
     paths = tmp_path / "g1.edges", tmp_path / "g2.edges"
     write_edge_list(g1, paths[0])
     write_edge_list(g2, paths[1])

@@ -23,7 +23,7 @@ def test_unweighted_edge_curvature_small_graphs():
 
 def test_unweighted_edge_curvature_worked_example(example_graph):
     # hub-to-leaf edge: 2 - deg(leaf) - deg(hub) = 2 - 1 - 3
-    row = example_graph.edges.index((0, 1))
+    row = tuple(example_graph.edges).index((0, 1))
     assert edge_curvatures(example_graph)[row] == -2
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from riccialign import from_edge_list, lift_to_3d, node_curvatures, triangular_ring_2d
+from riccialign import Graph, from_edge_list, lift_to_3d, node_curvatures, triangular_ring_2d
 
 from conftest import is_connected, random_connected_graph
 
@@ -38,6 +38,20 @@ def test_lift_increments_every_degree():
     n = g.num_nodes
     assert np.array_equal(lifted.degrees[:n], g.degrees + 1)
     assert np.array_equal(lifted.degrees[n:], g.degrees + 1)
+
+
+def pair_list_lift(g):
+    """The lift built from Python pairs: the reference for `lift_to_3d`."""
+    n = g.num_nodes
+    edges = list(map(tuple, g.edge_array.tolist()))
+    edges += [(u + n, v + n) for u, v in edges]
+    edges += [(v, v + n) for v in range(n)]
+    return Graph(2 * n, edges)
+
+
+def test_lift_matches_the_pair_list_construction():
+    for g in [triangular_ring_2d()] + [random_connected_graph(20, seed) for seed in range(3)]:
+        assert np.array_equal(lift_to_3d(g).edge_array, pair_list_lift(g).edge_array)
 
 
 def test_lift_preserves_connectivity():
