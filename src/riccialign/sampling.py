@@ -3,10 +3,13 @@
 All randomness flows through an explicit RngHandle; nothing touches global
 RNG state, so a seed fully determines every sample and each experiment round
 can own an independent handle. The walk replays ``random.Random.choice``
-inline, one bounded ``getrandbits`` draw at a time, and the edge deletion
-draws all its uniforms in one numpy call from the handle's own Mersenne
-Twister state; both give the draws, and leave the handle's state, of the
-per-call ``random.Random`` methods they replace.
+inline, one bounded ``getrandbits`` draw at a time, and gives the draws,
+and leaves the handle's state, of one ``random.Random.choice`` per step. The
+edge deletion draws only when its outcome is uncertain (0 < p < 1 and at
+least one edge): then all its uniforms come from one numpy call on the
+handle's own Mersenne Twister state, with the draws, and the handle's end
+state, of one ``random()`` per edge. A certain deletion (p = 0, p = 1 or no
+edges) draws nothing and leaves the handle as it was.
 """
 
 from __future__ import annotations
@@ -115,9 +118,17 @@ def delete_edges_randomly(g: Graph, p: float, rng: RngHandle) -> Graph:
     numpy's MT19937 makes a double from two 32-bit words as CPython's
     `random()` does, so one numpy draw on the handle's own Mersenne Twister
     state gives the uniforms, and leaves the state, of one call per edge.
-    When every edge is kept (always at p=0) the result is `g` itself.
+    That holds for uncertain deletions only, 0 < p < 1 on a graph with an
+    edge. A certain one draws nothing and leaves the handle's state as it
+    was: at p = 0, or with no edges, the result is `g` itself, and at p = 1
+    it is `g` without edges. When every drawn edge is kept the result is
+    also `g` itself.
     """
     _check_probability(p)
+    if p == 0 or g.num_edges == 0:
+        return g
+    if p == 1:
+        return g._keep_edges(np.zeros(g.num_edges, dtype=bool))
     version, internal, gauss_next = rng.getstate()
     if not hasattr(_thread, "draw"):  # seeded once: the handle's state replaces it
         _thread.draw = np.random.Generator(np.random.MT19937(0))

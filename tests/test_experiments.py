@@ -244,6 +244,14 @@ def test_ppi_experiment_different_seed_differs(small_network):
     assert [r.correct for r in a.per_round] != [r.correct for r in b.per_round]
 
 
+@pytest.mark.parametrize("p, correct", [(0.0, [60, 60, 60]), (1.0, [60, 60, 60])],
+                         ids=["0.0", "1.0"])
+def test_certain_deletion_rounds_keep_their_counts(small_network, p, correct):
+    # counts of the deletion that drew one uniform per edge at p = 0 and p = 1
+    report = run_ppi_experiment(_small_config(small_network, deletion_probability=p))
+    assert [r.correct for r in report.per_round] == correct
+
+
 def test_ppi_experiment_line_graph_is_the_alignment_universe(small_network):
     # the universe is the intermediate walk's line graph: one node per walk edge
     cfg = _small_config(small_network)

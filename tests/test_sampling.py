@@ -270,9 +270,8 @@ def test_deletion_hands_the_stream_back_like_per_edge_draws(num_edges, seed, gau
 
 
 # a path's backward slots are in edge order, the torus's and the random graph's are not
-@pytest.mark.parametrize("p, graph",
-                         [(0.0, "torus"), (0.3, "torus"), (1.0, "torus"), (0.3, "random")],
-                         ids=["0.0", "0.3", "1.0", "random-0.3"])
+@pytest.mark.parametrize("p, graph", [(0.3, "torus"), (0.3, "random")],
+                         ids=["0.3", "random-0.3"])
 def test_deletion_leaves_the_state_of_per_edge_draws_at_any_p(lifted_torus, p, graph):
     g = lifted_torus if graph == "torus" else random_graph(40, 0.2, 3)
     rng, ref = RngHandle(5), random.Random(5)
@@ -281,6 +280,26 @@ def test_deletion_leaves_the_state_of_per_edge_draws_at_any_p(lifted_torus, p, g
     assert tuple(kept.edges) == tuple(want)
     assert kept == Graph(g.num_nodes, want)
     assert rng.getstate() == ref.getstate()
+
+
+# p = 0 keeps and p = 1 drops every edge whatever the uniforms, and with no
+# edges there is nothing to draw: the outcome is certain, so the handle stays put
+@pytest.mark.parametrize("p, graph",
+                         [(0.0, "torus"), (1.0, "torus"), (0.0, "random"), (1.0, "random"),
+                          (0.3, "edgeless")],
+                         ids=["0.0", "1.0", "random-0.0", "random-1.0", "edgeless-0.3"])
+def test_a_certain_deletion_draws_nothing(lifted_torus, p, graph):
+    g = {"torus": lifted_torus, "random": random_graph(40, 0.2, 3),
+         "edgeless": Graph(5, [])}[graph]
+    rng, ref = RngHandle(5), random.Random(5)
+    before = rng.getstate()
+    kept = delete_edges_randomly(g, p, rng)
+    want = [e for e in g.edges if ref.random() >= p]
+    assert tuple(kept.edges) == tuple(want)
+    assert kept == Graph(g.num_nodes, want)
+    assert rng.getstate() == before
+    if p == 0 or g.num_edges == 0:
+        assert kept is g
 
 
 def test_deletion_in_threads_matches_sequential_calls():
