@@ -186,9 +186,9 @@ class Graph:
     def edges(self) -> zip:
         """A new one-pass iterator of the `edge_array` rows as (u, v) pairs of
         Python ints, through one list of the node ids: one int object per node,
-        not per endpoint. No longer a sequence (the ``EdgeView`` is gone): no
-        length, indexing, ``in`` or equality; write ``tuple(g.edges)`` or
-        ``g.edge_array.tolist()``. Kept for the benchmark's relabel loop only."""
+        not per endpoint. It has no length, indexing, ``in`` or equality; write
+        ``tuple(g.edges)`` or ``g.edge_array.tolist()``. Kept for the
+        benchmark's relabel loop only."""
         rows, forward = self._edge_slots()
         node = list(range(self.num_nodes)).__getitem__
         cols = self.indices[forward]

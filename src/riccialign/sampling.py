@@ -6,23 +6,22 @@ can own an independent handle. The walk replays ``random.Random.choice``
 inline, one bounded ``getrandbits`` draw at a time, and gives the draws,
 and leaves the handle's state, of one ``random.Random.choice`` per step. The
 edge deletion draws only when its outcome is uncertain (0 < p < 1 and at
-least one edge): then all its uniforms come from one numpy call on the
-handle's own Mersenne Twister state, with the draws, and the handle's end
-state, of one ``random()`` per edge. A certain deletion (p = 0, p = 1 or no
-edges) draws nothing and leaves the handle as it was.
+least one edge): then its uniforms are the handle's own ``random()`` calls,
+one per edge, which Python documents to replay for a given seed across
+versions. A certain deletion (p = 0, p = 1 or no edges) draws nothing and
+leaves the handle as it was.
 """
 
 from __future__ import annotations
 
 import numbers
 import random
-import threading
+from itertools import repeat, starmap
 
 import numpy as np
 
 from .graph import Graph, GraphError, _integer
 
-_thread = threading.local()  # one numpy Mersenne Twister per thread, for the deletion
 _MAX_STAGNANT = 100  # stagnant walk steps before a jump to an unvisited node
 
 
@@ -42,7 +41,8 @@ class RngHandle(random.Random):
 
     def __reduce__(self):
         # random.Random's calls the class with no seed, which seed() rejects
-        return type(self), (0,), self.getstate()
+        cls, _, state = super().__reduce__()
+        return cls, (0,), state
 
 
 def _below(getrandbits, n: int) -> int:
@@ -114,28 +114,18 @@ def _check_probability(p) -> None:
 def delete_edges_randomly(g: Graph, p: float, rng: RngHandle) -> Graph:
     """Drop each edge independently with probability p; nodes are untouched.
 
-    Edge i of the canonical order is kept when the i-th uniform is >= p.
-    numpy's MT19937 makes a double from two 32-bit words as CPython's
-    `random()` does, so one numpy draw on the handle's own Mersenne Twister
-    state gives the uniforms, and leaves the state, of one call per edge.
-    That holds for uncertain deletions only, 0 < p < 1 on a graph with an
-    edge. A certain one draws nothing and leaves the handle's state as it
-    was: at p = 0, or with no edges, the result is `g` itself, and at p = 1
-    it is `g` without edges. When every drawn edge is kept the result is
-    also `g` itself.
+    An uncertain deletion, 0 < p < 1 on a graph with an edge, makes one
+    `rng.random()` call per edge and keeps edge i of the canonical order
+    when the i-th is >= p. A certain one draws nothing and leaves the
+    handle's state as it was: at p = 0, or with no edges, the result is `g`
+    itself, and at p = 1 it is `g` without edges. When every drawn edge is
+    kept the result is also `g` itself.
     """
     _check_probability(p)
     if p == 0 or g.num_edges == 0:
         return g
     if p == 1:
         return g._keep_edges(np.zeros(g.num_edges, dtype=bool))
-    version, internal, gauss_next = rng.getstate()
-    if not hasattr(_thread, "draw"):  # seeded once: the handle's state replaces it
-        _thread.draw = np.random.Generator(np.random.MT19937(0))
-    key = np.array(internal[:-1], dtype=np.uint32)
-    bits = _thread.draw.bit_generator
-    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
-    keep = _thread.draw.random(g.num_edges) >= p
-    state = bits.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    num_edges = g.num_edges
+    keep = np.fromiter(starmap(rng.random, repeat((), num_edges)), np.float64, num_edges) >= p
     return g if keep.all() else g._keep_edges(keep)

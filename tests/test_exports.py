@@ -22,6 +22,19 @@ def test_import_does_not_load_scipy():
                    env=env, check=True, timeout=60)
 
 
+def test_uncertain_deletion_does_not_load_numpy_random():
+    # the deletion draws from the handle itself, so no numpy generator is
+    # imported or seeded on the first p > 0 round
+    src = str(Path(riccialign.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import riccialign as ra, sys; "
+            "g = ra.Graph(3001, [(i, i + 1) for i in range(3000)]); "
+            "kept = ra.delete_edges_randomly(g, 0.3, ra.RngHandle(0)); "
+            "assert 0 < kept.num_edges < 3000; assert 'numpy.random' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 def test_readme_quick_start_runs():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text().split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
