@@ -41,8 +41,7 @@ class RngHandle(random.Random):
 
     def __reduce__(self):
         # random.Random's calls the class with no seed, which seed() rejects
-        cls, _, state = super().__reduce__()
-        return cls, (0,), state
+        return type(self), (0,), self.getstate()
 
 
 def _below(getrandbits, n: int) -> int:
