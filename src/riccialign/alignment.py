@@ -11,7 +11,8 @@ unchanged or relabelled copy of G1), `align()` reads a zero-cost optimum off
 the rows instead, without building the cost matrix: a 64-bit row hash
 proposes the pairing and the sort keys of the CSR entries check it exactly,
 G1's in id order against G2's in the paired order, both over one value
-range; only after a hash collision do the dense rows' void keys decide.
+range. Equal rows pair in ascending id order unless two different rows'
+64-bit hashes collide; the total never depends on the hash.
 """
 
 from __future__ import annotations
@@ -212,28 +213,6 @@ def _zero_cost(dst: np.ndarray) -> Assignment:
                       row_costs=(0.0,) * len(dst))
 
 
-def _equal_rows_assignment(rows1: np.ndarray, rows2: np.ndarray) -> Assignment | None:
-    """The zero-cost assignment when both row sets are one multiset, else None.
-
-    Each int64 row is viewed as one np.void key, equal exactly when the rows
-    are. The k-th row of rows1 in stable key order goes to the k-th of rows2;
-    the multisets are equal exactly when every row then equals its image's
-    row, and then every pair costs 0.0, which no assignment undercuts.
-    """
-    n, m = rows1.shape
-    if m == 0:  # a void view of size 0 drops the rows; empty rows are all equal
-        return _zero_cost(np.arange(n))
-    a = np.ascontiguousarray(rows1, dtype=np.int64)
-    b = np.ascontiguousarray(rows2, dtype=np.int64)
-    key = np.dtype((np.void, 8 * m))
-    dst = np.empty(n, dtype=np.int64)
-    dst[np.argsort(a.view(key).ravel(), kind="stable")] = \
-        np.argsort(b.view(key).ravel(), kind="stable")
-    # the zero-cost property itself, every row equal to its image's row;
-    # int64 rows compare far faster than their void keys
-    return _zero_cost(dst) if np.array_equal(a, b[dst]) else None
-
-
 def _mix(values: np.ndarray) -> np.ndarray:
     """splitmix64's finalizer of int64 values, in uint64; it maps 0 to 0."""
     z = np.ascontiguousarray(values, dtype=np.int64).view(np.uint64)
@@ -278,9 +257,10 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
     by the paired place, both over the value range of the two graphs; hash
     groups keep ascending ids, so it is then the ascending-id pairing. Only
     when it fails are the width m, g2's own-order keys and the dense rows
-    built. When the hashes agree but the check fails (a collision, or rows
-    equal only once zero-padded), the dense rows' void keys decide. The
-    result never depends on the hash.
+    built; the pairing then stands if each dense row equals its image's, as
+    for rows equal only once zero-padded (a K2 node's Ricci [0] and an
+    isolated node's). Equal rows pair in ascending id order unless two
+    different rows' 64-bit hashes collide; the total never depends on the hash.
     """
     if g1.num_nodes != g2.num_nodes:
         raise GraphError(
@@ -297,8 +277,9 @@ def align(g1: Graph, g2: Graph, mode: str = "ricci") -> Assignment:
     sig1 = SignatureMatrix(rows=_fill_rows(g1, m, keys1, low, span), mode=mode)
     sig2 = SignatureMatrix(rows=_fill_rows(g2, m, _sorted_keys(g2, f2, low, span), low, span),
                            mode=mode)
-    equal = None if dst is None else _equal_rows_assignment(sig1.rows, sig2.rows)
-    return equal or _solve(cost_matrix(sig1, sig2))
+    if dst is not None and np.array_equal(sig1.rows, sig2.rows[dst]):
+        return _zero_cost(dst)
+    return _solve(cost_matrix(sig1, sig2))
 
 
 def score_alignment(a: Assignment) -> tuple[int, float]:

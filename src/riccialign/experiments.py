@@ -170,14 +170,12 @@ def run_ppi_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 # -- curvature-Laplacian verification -----------------------------------------
 
-def random_connected_graph(n: int, rng: RngHandle, extra_edge_prob: float = 0.15) -> Graph:
-    """Seeded connected graph: a random recursive tree plus random extra edges."""
+def random_connected_graph(n: int, rng: RngHandle) -> Graph:
+    """Seeded connected graph: a random recursive tree plus each node pair,
+    in ascending order, as an extra edge with probability 0.15."""
     n = _integer(n, "n", 1)
     edges = [(rng.choice(range(v)), v) for v in range(1, n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < extra_edge_prob:
-                edges.append((u, v))
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
     return Graph(n, edges)
 
 

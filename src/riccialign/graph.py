@@ -103,8 +103,8 @@ class Graph:
     ----------
     num_nodes:
         Node count N, a Python or numpy integer (not a bool) below 2**63 that
-        numpy accepts as an array size;
-        nodes are exactly 0..N-1.
+        numpy can allocate as an array size, with N * N <= 2**63 when there
+        is an edge (the int64 edge keys); nodes are exactly 0..N-1.
     edges:
         Iterable of id pairs, or an (E, 2) integer array. Pairs are
         canonicalized and deduplicated; self-loops, out-of-range endpoints
@@ -141,6 +141,8 @@ class Graph:
         if loops.any():
             raise GraphError(f"self-loop at node {lo[loops.argmax()]}")
         self.node_ids(arr.ravel())
+        if len(arr) and n * n > 2**63:
+            raise GraphError(f"node count {n} is too large for int64 edge keys")
 
         # both directions as row-major keys row * N + col; one sort gives the
         # CSR order, and dropping repeats removes duplicate edges
@@ -149,9 +151,9 @@ class Graph:
         rows, cols = np.divmod(keys, n)
         try:
             indptr = np.zeros(n + 1, dtype=np.int64)
-        except ValueError:  # numpy refuses the size before it allocates
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        except (ValueError, MemoryError):  # numpy refuses the size, or cannot allocate it
             raise GraphError(f"node count {n} is too large for an array") from None
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         self._set_csr(n, indptr, cols)
 
     def _set_csr(self, n: int, indptr, indices) -> "Graph":

@@ -21,7 +21,8 @@ from riccialign import (
     score_alignment,
 )
 
-from conftest import assignment_minimum, random_connected_graph, random_graph, traced_peak
+from conftest import (assignment_minimum, random_connected_graph, random_graph, traced_peak,
+                      void_key_pairing)
 
 CLAW = [(0, 1), (0, 2), (0, 3)]
 K3 = [(0, 1), (0, 2), (1, 2)]
@@ -384,17 +385,18 @@ def test_align_edge_cases_without_a_cost_matrix():
 
 
 def test_equal_rows_assignment_compares_multisets_not_sums():
-    from riccialign.alignment import _equal_rows_assignment
-
+    # the void-key reference that align's equal-row pairing is checked against
     rows1 = np.array([[1, 3], [2, 2]])
     rows2 = np.array([[1, 2], [2, 3]])  # equal total, equal column sums
     assert rows1.sum() == rows2.sum() and (rows1.sum(axis=0) == rows2.sum(axis=0)).all()
-    assert _equal_rows_assignment(rows1, rows2) is None
-    assert _equal_rows_assignment(rows1, rows1[::-1]).mapping == {0: 1, 1: 0}
+    assert void_key_pairing(rows1, rows2) is None
+    assert void_key_pairing(rows1, rows1[::-1]).mapping == {0: 1, 1: 0}
     # tied rows pair in ascending id order on both sides
     tied = np.array([[5, 0], [1, 1], [5, 0], [1, 1]])
-    assert _equal_rows_assignment(tied, tied[[1, 0, 3, 2]]).mapping == \
+    assert void_key_pairing(tied, tied[[1, 0, 3, 2]]).mapping == \
         {0: 1, 1: 0, 2: 3, 3: 2}
+    empty = np.zeros((3, 0), dtype=np.int64)
+    assert void_key_pairing(empty, empty).mapping == {0: 0, 1: 1, 2: 2}
 
 
 def test_align_falls_back_to_hungarian_when_multisets_differ():
@@ -435,29 +437,31 @@ def test_align_reaches_the_solver_when_sums_match_but_rows_differ(monkeypatch):
         assert result.row_costs == solved.row_costs and result.total_cost > 0.0
 
 
-def test_align_does_not_depend_on_the_row_hash(monkeypatch):
+def test_align_under_a_forced_hash_collision_still_costs_zero(monkeypatch):
     import riccialign.alignment as alignment
-    from riccialign.alignment import _equal_rows_assignment
+    from riccialign.alignment import _solve
 
-    # every row hashes to 0: the hash proposes the id order, the check
-    # rejects it, and the void keys of the dense rows decide
+    # every row hashes to 0: the hash proposes the id order, the CSR keys and
+    # the dense rows reject it, and the solver finds a zero-cost optimum; which
+    # one is scipy's choice, so the mapping is checked only for equal rows
     monkeypatch.setattr(alignment, "_mix", lambda f: np.zeros(len(f), dtype=np.uint64))
-    fallbacks = []
-    monkeypatch.setattr(alignment, "_equal_rows_assignment",
-                        lambda a, b: fallbacks.append(1) or _equal_rows_assignment(a, b))
+    solves = []
+    monkeypatch.setattr(alignment, "_solve", lambda c: solves.append(1) or _solve(c))
     g = random_connected_graph(60, seed=3)
     h = relabelled(g, 0)
     for mode in ("degree", "ricci"):
         build = degree_matrix if mode == "degree" else ricci_matrix
         m = common_max_degree(g, h)
-        expected = _equal_rows_assignment(build(g, m).rows, build(h, m).rows)
+        before = len(solves)
         result = align(g, h, mode=mode)
-        assert result.mapping == expected.mapping
-        assert result.total_cost.hex() == expected.total_cost.hex()
-        assert result.row_costs == expected.row_costs
+        assert len(solves) == before + 1
+        assert result.total_cost.hex() == (0.0).hex()
+        assert result.row_costs == (0.0,) * g.num_nodes
+        dst = [result.mapping[v] for v in g.nodes]
+        assert sorted(dst) == list(h.nodes)
+        assert np.array_equal(build(g, m).rows, build(h, m).rows[dst])
         solved = hungarian(cost_matrix(build(Graph(4, K3), 3), build(from_edge_list(CLAW), 3)))
         assert align(Graph(4, K3), from_edge_list(CLAW), mode=mode).mapping == solved.mapping
-    assert len(fallbacks) == 4
 
 
 def with_isolated_ends(g: Graph, first: int, last: int) -> Graph:
@@ -513,34 +517,47 @@ def test_align_checks_the_pairing_in_the_value_range_of_both_graphs(monkeypatch)
 
 def test_align_with_isolated_nodes_at_both_ends_equals_the_void_key_pairing(monkeypatch):
     import riccialign.alignment as alignment
-    from riccialign.alignment import _equal_rows_assignment
 
-    fallbacks = []
-    monkeypatch.setattr(alignment, "_equal_rows_assignment",
-                        lambda a, b: fallbacks.append(1) or _equal_rows_assignment(a, b))
+    def unexpected(*args):
+        raise AssertionError("the hash pairing passes its CSR check: no dense row is built")
+
     g = with_isolated_ends(random_connected_graph(40, seed=5), 3, 2)
     h = relabelled(g, 4)
+    cases = []
     for mode in ("degree", "ricci"):
         build = degree_matrix if mode == "degree" else ricci_matrix
         m = common_max_degree(g, h)
-        for g1, g2 in ((g, h), (h, g)):
-            expected = _equal_rows_assignment(build(g1, m).rows, build(g2, m).rows)
-            result = align(g1, g2, mode=mode)
-            assert result.mapping == expected.mapping
-            assert result.total_cost.hex() == expected.total_cost.hex() == (0.0).hex()
-            assert result.row_costs == expected.row_costs
-    # the hash pairing passed its check every time: align never fell back
-    assert not fallbacks
+        cases += [(g1, g2, mode, void_key_pairing(build(g1, m).rows, build(g2, m).rows))
+                  for g1, g2 in ((g, h), (h, g))]
+    monkeypatch.setattr(alignment, "_fill_rows", unexpected)
+    for g1, g2, mode, expected in cases:
+        result = align(g1, g2, mode=mode)
+        assert result.mapping == expected.mapping
+        assert result.total_cost.hex() == expected.total_cost.hex() == (0.0).hex()
+        assert result.row_costs == expected.row_costs
 
 
-def test_align_pairs_rows_that_are_equal_once_zero_padded():
+def test_align_pairs_rows_that_are_equal_once_zero_padded(monkeypatch):
+    import riccialign.alignment as alignment
+
+    def unexpected(*args):
+        raise AssertionError("rows equal once zero-padded need no cost matrix or solver")
+
     # a K2 node's row [0] (its neighbour's curvature) equals an isolated
-    # node's padding: the degrees differ, so the void keys decide, and they
-    # pair the three equal rows in ascending id order
+    # node's padding: the degrees differ, so the CSR keys reject the hash
+    # pairing, and the dense rows accept it, the equal rows in ascending id order
     g, h = Graph(3, [(0, 1)]), Graph(3, [(1, 2)])
     assert ricci_matrix(g, 1).rows.tolist() == ricci_matrix(h, 1).rows.tolist() == [[0]] * 3
+    # a triangle plus K2 against itself less the K2 edge: rows [-4, -4] three
+    # times, then the K2's [0, 0] against two isolated nodes' padding
+    full, cut = Graph(5, K3 + [(3, 4)]), Graph(5, K3)
+    assert ricci_matrix(full, 2).rows.tolist() == ricci_matrix(cut, 2).rows.tolist()
+    monkeypatch.setattr(alignment, "cost_matrix", unexpected)
+    monkeypatch.setattr(alignment, "_solve", unexpected)
     assert align(g, h) == Assignment(mapping={0: 0, 1: 1, 2: 2}, total_cost=0.0)
     assert align(g, h, mode="degree").mapping == {0: 1, 1: 2, 2: 0}
+    for g1, g2 in ((full, cut), (cut, full)):
+        assert align(g1, g2) == Assignment(mapping={v: v for v in range(5)}, total_cost=0.0)
 
 
 def test_row_hashes_are_uint64_splitmix64_sums():

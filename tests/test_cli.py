@@ -406,6 +406,13 @@ def test_domain_errors_exit_cleanly(capsys, tmp_path, small_network):
     assert "error:" in capsys.readouterr().err
     assert main(["align", "--mode", "dmc", "--g1", "missing.edges",
                  "--g2", "missing.edges", "--out", str(tmp_path / "x.csv")]) == 2
+    capsys.readouterr()
+    # an edge list naming node 2**50: a node count with no int64 edge keys
+    sparse = tmp_path / "sparse.edges"
+    sparse.write_text(f"0 1\n{2**50} 2\n")
+    assert main(["align", "--mode", "rmc", "--g1", str(sparse), "--g2", str(sparse),
+                 "--out", str(tmp_path / "y.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: node count {2**50 + 1} ")
 
 
 def test_align_command_checks_the_output_path_before_aligning(capsys, tmp_path,

@@ -224,12 +224,22 @@ def test_node_counts_beyond_int64_are_named(make, n):
         make(n, [])
 
 
-@pytest.mark.parametrize("n", [2**62, 2**63 - 1], ids=["2**62", "int64-max"])
+@pytest.mark.parametrize("n", [2**50, 2**62, 2**63 - 1], ids=["2**50", "2**62", "int64-max"])
 def test_node_counts_numpy_refuses_are_named(n):
-    # numpy refuses both sizes before it allocates; a count from 2**33 on would
-    # really allocate, so none is tested
+    # numpy refuses the two largest sizes before it allocates; 2**50 int64s,
+    # 8 PiB, lie beyond a process's default address space, so the allocation
+    # fails at once. A count from 2**33 to about 2**44 would really allocate,
+    # so none is tested
     with pytest.raises(GraphError, match=f"^node count {n} is too large for an array$"):
         Graph(n, [])
+
+
+@pytest.mark.parametrize("n", [2**50, 3_037_000_500], ids=["2**50", "least-wrapping"])
+def test_node_counts_whose_edge_keys_overflow_int64_are_named(n):
+    # the key row * n + col reaches n * n - 2, which wraps from n = 3_037_000_500,
+    # the least n with n * n > 2**63; the guard runs before any n-sized array
+    with pytest.raises(GraphError, match=f"^node count {n} is too large for int64 edge keys$"):
+        Graph(n, [(0, 1)])
 
 
 def assert_induced_subgraph_peak_is_about_two_gathered_arrays(ids):

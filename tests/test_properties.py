@@ -35,10 +35,11 @@ from riccialign import (
     ricci_matrix,
     triangular_ring_2d,
 )
-from riccialign.alignment import _equal_rows_assignment, _signature_rows
+from riccialign.alignment import _signature_rows
 
 from conftest import (Reference, dense_laplacian, edge_array_reads, edge_pair_count,
-                      labeled_signature_vector, reference_subgraph_edges, reference_walk)
+                      labeled_signature_vector, reference_subgraph_edges, reference_walk,
+                      void_key_pairing)
 
 # small graphs; no deadline, since first calls pay numpy's warm-up
 property_test = settings(deadline=None, max_examples=60)
@@ -418,7 +419,7 @@ def test_align_on_a_relabelling_is_the_dense_void_key_pairing(g, rnd, mode):
     rnd.shuffle(perm)
     h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
     m = g.max_degree()
-    expected = _equal_rows_assignment(signature_rows(g, m, mode), signature_rows(h, m, mode))
+    expected = void_key_pairing(signature_rows(g, m, mode), signature_rows(h, m, mode))
     result = align(g, h, mode=mode)
     assert result.mapping == expected.mapping
     assert result.total_cost.hex() == expected.total_cost.hex() == (0.0).hex()
