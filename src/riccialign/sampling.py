@@ -44,22 +44,6 @@ class RngHandle(random.Random):
         return type(self), (0,), self.getstate()
 
 
-def _below(getrandbits, n: int) -> int:
-    """The index ``random.Random.choice`` draws from n > 0 items, from the same bits.
-
-    On CPython 3.10-3.13 ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, and
-    ``_randbelow(n)`` draws ``getrandbits(n.bit_length())`` until the result
-    is below n. This is that loop; binding ``rng._randbelow`` instead made
-    walks of 500 and 2000 nodes about 20% slower. The tests compare walks
-    with ``choice`` itself, so a CPython that draws otherwise fails them.
-    """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     """Induced subgraph on `size` nodes collected by a random walk.
 
@@ -70,9 +54,15 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     the walk jumps to a uniform random not-yet-collected node and collects it.
     The counter resets on progress and on jumps.
 
-    Steps draw with ``_below`` and jumps with ``rng.choice``, the same draw, so
-    the walk and the handle's end state are those of one ``choice`` per step.
-    The CSR rows are read through memoryviews, which give plain ints.
+    Each step draws, and leaves the handle's state, as one ``rng.choice``. The
+    start and a step from an isolated node call ``rng.randrange(n)``, a jump
+    calls ``rng.choice`` on the ascending uncollected ids, and a move replays
+    ``choice`` over its CSR row inline: on CPython 3.10-3.13 ``choice`` and
+    ``randrange`` over d items draw ``getrandbits(d.bit_length())`` until the
+    result is below d. Binding ``rng._randbelow`` instead made walks of 500 and
+    2000 nodes about 20% slower. The tests compare walks with ``choice``
+    itself, so a CPython that draws otherwise fails them. Rows are read
+    through memoryviews (plain ints).
     """
     size = _integer(size, "sample size", 1)
     if size > g.num_nodes:
@@ -81,21 +71,28 @@ def random_walk_sample(g: Graph, size: int, rng: RngHandle) -> Graph:
     n = g.num_nodes
     indptr, indices = memoryview(g.indptr), memoryview(g.indices)  # plain-int reads
     getrandbits = rng.getrandbits
-    current = _below(getrandbits, n)
+    current = rng.randrange(n)
     visited = {current: None}
     stagnant, max_stagnant = 0, _MAX_STAGNANT
 
     while len(visited) < size:
         lo = indptr[current]
         degree = indptr[current + 1] - lo
-        nxt = indices[lo + _below(getrandbits, degree)] if degree else _below(getrandbits, n)
+        if degree:
+            k = degree.bit_length()
+            r = getrandbits(k)
+            while r >= degree:
+                r = getrandbits(k)
+            nxt = indices[lo + r]
+        else:
+            nxt = rng.randrange(n)
         if nxt not in visited:
             visited[nxt] = None
             stagnant = 0
         else:
             stagnant += 1
             if stagnant >= max_stagnant:
-                nxt = rng.choice(sorted(set(range(n)).difference(visited)))
+                nxt = rng.choice([v for v in range(n) if v not in visited])
                 visited[nxt] = None
                 stagnant = 0
         current = nxt

@@ -152,10 +152,10 @@ def walk_orders(monkeypatch):
     return orders
 
 
-def assert_walks_like_choice(g, size, seed, orders):
+def assert_walks_like_choice(g, size, seed, orders, rng=None):
     """The walk's order and the handle's end state are those of the reference,
     which draws every step with random.Random.choice."""
-    rng, ref_rng = RngHandle(seed), RngHandle(seed)
+    rng, ref_rng = rng or RngHandle(seed), RngHandle(seed)
     random_walk_sample(g, size, rng)
     ref = reference_walk(Reference(g.num_nodes, g.edges), size, ref_rng, sampling._MAX_STAGNANT)
     assert orders[-1] == ref
@@ -196,23 +196,28 @@ def test_walk_jumps_draw_like_choice(monkeypatch, walk_orders, max_stagnant):
             assert_walks_like_choice(g, size, seed, walk_orders)
 
 
+class BoundedRng(RngHandle):
+    """A handle whose draws are counted: the walk, randrange and choice all
+    reach getrandbits, so a walk that never finishes fails instead of hanging."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        assert self.draws < 10_000, "the walk does not finish"
+        return super().getrandbits(k)
+
+
 def test_walk_that_jumps_after_every_stagnant_step_finishes(monkeypatch, walk_orders):
     # on a star every step from a leaf returns to the collected hub, so only
     # jumps collect the other leaves: a jump that left its target uncollected
-    # would jump from leaf to leaf forever. The draws are bounded so that such
-    # a walk fails instead of hanging
+    # would jump from leaf to leaf forever
     monkeypatch.setattr(sampling, "_MAX_STAGNANT", 1)
-    below, draws = sampling._below, []
-
-    def bounded(getrandbits, n):
-        draws.append(n)
-        assert len(draws) < 10_000, "the walk does not finish"
-        return below(getrandbits, n)
-
-    monkeypatch.setattr(sampling, "_below", bounded)
     g = from_edge_list([(0, v) for v in range(1, 11)])
     for seed in range(12):
-        assert_walks_like_choice(g, 11, seed, walk_orders)
+        rng = BoundedRng(seed)
+        assert_walks_like_choice(g, 11, seed, walk_orders, rng)
+        assert rng.draws > 0
 
 
 def test_delete_edges_p_zero_keeps_everything(lifted_torus):
